@@ -17,19 +17,13 @@ else
 fi
 
 echo "== build (release, offline) =="
-cargo build --release --offline
+cargo build --release --offline --workspace
 
-echo "== tests (offline, sequential: GOC_THREADS=1, batch VM on) =="
-GOC_THREADS=1 GOC_BATCH=1 cargo test -q --offline --workspace
+echo "== tests (offline, sequential: GOC_THREADS=1) =="
+GOC_THREADS=1 cargo test -q --offline --workspace
 
-echo "== tests (offline, sequential: GOC_THREADS=1, batch VM off) =="
-GOC_THREADS=1 GOC_BATCH=0 cargo test -q --offline --workspace
-
-echo "== tests (offline, parallel trial engine: GOC_THREADS=4, prewarm on) =="
-GOC_THREADS=4 GOC_PREWARM=1 cargo test -q --offline --workspace
-
-echo "== tests (offline, parallel trial engine: GOC_THREADS=4, prewarm off) =="
-GOC_THREADS=4 GOC_PREWARM=0 cargo test -q --offline --workspace
+echo "== tests (offline, parallel trial engine: GOC_THREADS=4) =="
+GOC_THREADS=4 cargo test -q --offline --workspace
 
 echo "== bench harness smoke (${GOC_BENCH_QUICK:+quick, }offline) =="
 rm -f target/goc-bench.jsonl  # JSON lines append; start the smoke run clean
@@ -46,17 +40,10 @@ cargo bench --offline -p goc-bench --bench e13_zero_copy --features count-allocs
 # e2 carries the finite-Levin settle medians the BENCH_*.json regression
 # compare below watches across PRs.
 cargo bench --offline -p goc-bench --bench e2_finite_levin
-# e14 prices the batch VM interpreter: both arms force their interpreter
-# in-process (with_batch), so no GOC_BATCH env is needed here; the scalar
-# and batch medians feed the >= 2x gate below.
-cargo bench --offline -p goc-bench --bench e14_batch
-# e15 prices the pipelined background prewarm: both arms force their
-# pipeline mode in-process (with_prewarm under with_thread_count(4)), and
-# the inline and prewarmed medians feed the >= 1.5x gate below.
-cargo bench --offline -p goc-bench --bench e15_prewarm
-# e16 prices the dispatch-table scalar core: both arms force their core
-# in-process (with_dispatch), and the match and table medians of the
-# instruction micro-bench feed the >= 1.3x gate below.
+# e16 prices the dispatch-table core: both arms force their core
+# in-process (with_dispatch); the match and table medians of the
+# instruction micro-bench feed the >= 1.3x gate below, and those of the
+# finite-Levin settle pair feed the >= 2x gate.
 cargo bench --offline -p goc-bench --bench e16_dispatch
 
 echo "== E13 gate: pooled steady loop is allocation-free =="
@@ -81,27 +68,13 @@ if [ "$rep_replay" != "$rep_resume" ]; then
 fi
 echo "replay == resume (report identical)"
 
-echo "== E14 gate: GOC_BATCH is observationally inert =="
-# The batch interpreter and the scalar path must be bit-for-bit equivalent
-# across a whole report run — lockstep dispatch, predecoded programs, and
-# arena-backed buffers may only change wall-clock, never an observable byte.
-rep_scalar=$(GOC_BATCH=0 cargo run --release --offline -p goc-bench --bin goc-report -- --quick)
-rep_batch=$(GOC_BATCH=1 cargo run --release --offline -p goc-bench --bin goc-report -- --quick)
-if [ "$rep_scalar" != "$rep_batch" ]; then
-  echo "CI FAIL: goc-report differs under GOC_BATCH=0 vs 1"
-  diff <(printf '%s\n' "$rep_scalar") <(printf '%s\n' "$rep_batch") || true
-  exit 1
-fi
-echo "scalar == batch (report identical)"
-
 echo "== obs gate: traces are byte-identical across thread counts =="
 # With GOC_TRACE set, the observability layer records spans/events per
 # trial and flushes them in task-index order, so the JSONL trace must be
 # byte-for-byte identical at any GOC_THREADS. (The disabled-path cost is
 # covered by the E13 allocs:0 gate above: obs is compiled in there, and
 # the steady loop still records zero allocations per iteration.)
-rm -f target/goc-trace-t1.jsonl target/goc-trace-t4.jsonl \
-      target/goc-trace-t1-scalar.jsonl target/goc-trace-t4-scalar.jsonl
+rm -f target/goc-trace-t1.jsonl target/goc-trace-t4.jsonl
 GOC_TRACE=target/goc-trace-t1.jsonl GOC_THREADS=1 \
   cargo run --release --offline -p goc-bench --bin goc-report -- --quick > /dev/null
 GOC_TRACE=target/goc-trace-t4.jsonl GOC_THREADS=4 \
@@ -109,33 +82,6 @@ GOC_TRACE=target/goc-trace-t4.jsonl GOC_THREADS=4 \
 [ -s target/goc-trace-t1.jsonl ] || { echo "CI FAIL: GOC_TRACE produced an empty trace"; exit 1; }
 cmp target/goc-trace-t1.jsonl target/goc-trace-t4.jsonl \
   || { echo "CI FAIL: GOC_TRACE output differs between GOC_THREADS=1 and 4"; exit 1; }
-# ... and across the interpreter flag: the batch VM's extra machinery is
-# nondeterministic-scoped (vm.batch.*, vm.arena.*), so the deterministic
-# trace stream must not move by a byte when GOC_BATCH flips, at either
-# thread count.
-GOC_TRACE=target/goc-trace-t1-scalar.jsonl GOC_THREADS=1 GOC_BATCH=0 \
-  cargo run --release --offline -p goc-bench --bin goc-report -- --quick > /dev/null
-GOC_TRACE=target/goc-trace-t4-scalar.jsonl GOC_THREADS=4 GOC_BATCH=0 \
-  cargo run --release --offline -p goc-bench --bin goc-report -- --quick > /dev/null
-cmp target/goc-trace-t1.jsonl target/goc-trace-t1-scalar.jsonl \
-  || { echo "CI FAIL: GOC_TRACE output differs between GOC_BATCH=1 and 0 at GOC_THREADS=1"; exit 1; }
-cmp target/goc-trace-t4.jsonl target/goc-trace-t4-scalar.jsonl \
-  || { echo "CI FAIL: GOC_TRACE output differs between GOC_BATCH=1 and 0 at GOC_THREADS=4"; exit 1; }
-# ... and across the prewarm pipeline: background speculation only fills a
-# cache whose hits are value-identical to execution, and its counters
-# (par.pool.*, vm.prewarm.*) are nondeterministic-scoped, so flipping
-# GOC_PREWARM must not move the deterministic trace by a byte either — at
-# GOC_THREADS=1 (where the pipeline is inert by construction) and at
-# GOC_THREADS=4 (where it actually runs).
-rm -f target/goc-trace-t1-noprewarm.jsonl target/goc-trace-t4-noprewarm.jsonl
-GOC_TRACE=target/goc-trace-t1-noprewarm.jsonl GOC_THREADS=1 GOC_PREWARM=0 \
-  cargo run --release --offline -p goc-bench --bin goc-report -- --quick > /dev/null
-GOC_TRACE=target/goc-trace-t4-noprewarm.jsonl GOC_THREADS=4 GOC_PREWARM=0 \
-  cargo run --release --offline -p goc-bench --bin goc-report -- --quick > /dev/null
-cmp target/goc-trace-t1.jsonl target/goc-trace-t1-noprewarm.jsonl \
-  || { echo "CI FAIL: GOC_TRACE output differs between GOC_PREWARM=1 and 0 at GOC_THREADS=1"; exit 1; }
-cmp target/goc-trace-t4.jsonl target/goc-trace-t4-noprewarm.jsonl \
-  || { echo "CI FAIL: GOC_TRACE output differs between GOC_PREWARM=1 and 0 at GOC_THREADS=4"; exit 1; }
 # ... and across the scalar dispatch core: the predecoded table and the
 # legacy `match` loop share one semantics (the handler table is compiled
 # from the same instruction definitions), so flipping GOC_DISPATCH must not
@@ -149,7 +95,7 @@ cmp target/goc-trace-t1.jsonl target/goc-trace-t1-nodispatch.jsonl \
   || { echo "CI FAIL: GOC_TRACE output differs between GOC_DISPATCH=1 and 0 at GOC_THREADS=1"; exit 1; }
 cmp target/goc-trace-t4.jsonl target/goc-trace-t4-nodispatch.jsonl \
   || { echo "CI FAIL: GOC_TRACE output differs between GOC_DISPATCH=1 and 0 at GOC_THREADS=4"; exit 1; }
-echo "traces identical ($(wc -l < target/goc-trace-t1.jsonl) records, threads x batch x prewarm x dispatch)"
+echo "traces identical ($(wc -l < target/goc-trace-t1.jsonl) records, threads x dispatch)"
 
 echo "== obs gate: trace readers consume the file =="
 tsum=$(cargo run --release --offline -p goc-bench --bin goc-report -- --trace-summary target/goc-trace-t1.jsonl)
@@ -228,7 +174,7 @@ echo "== serve gate: 10k sessions over a real socket settle byte-identically =="
 # one sorted outcome line per session. The same fleet run in-process must
 # produce the *same bytes* — the socket boundary, the shard scheduler, and
 # the connection pipelining are all observationally inert. --shutdown also
-# exercises the daemon's drain path (shards joined, worker pool drained).
+# exercises the daemon's teardown path (shards joined).
 serve_sock="target/goc-ci-serve.sock"
 rm -f "$serve_sock" target/goc-serve-socket.txt target/goc-serve-inproc.txt \
       target/goc-serve-load.jsonl
@@ -273,40 +219,27 @@ echo "measured improvement: ${ratio}x"
 awk -v r="$ratio" 'BEGIN { exit !(r >= 2.0) }' \
   || { echo "CI FAIL: E13 settle improvement ${ratio}x is below the 2x gate"; exit 1; }
 
-echo "== E14 gate: batch settle improvement >= 2x (scalar vs batch VM, t1) =="
-# The E14 line deliberately reads "x batch improvement" so the E13 grep
-# above (which requires "x improvement" adjacent) cannot match it, and
-# vice versa.
-ratio14=$(grep -o '[0-9.]*x batch improvement' <<<"$summary" | tail -n 1 | grep -o '^[0-9.]*')
-[ -n "$ratio14" ] || { echo "CI FAIL: E14 improvement line missing from bench summary"; exit 1; }
-echo "measured batch improvement: ${ratio14}x"
-awk -v r="$ratio14" 'BEGIN { exit !(r >= 2.0) }' \
-  || { echo "CI FAIL: E14 batch settle improvement ${ratio14}x is below the 2x gate"; exit 1; }
-
-echo "== E15 gate: prewarmed settle improvement >= 1.5x (inline vs pipelined, t4) =="
-# The E15 line reads "x prewarm improvement" so neither the E13 grep
-# ("x improvement" adjacent) nor the E14 grep ("x batch improvement") can
-# match it, and vice versa.
-ratio15=$(grep -o '[0-9.]*x prewarm improvement' <<<"$summary" | tail -n 1 | grep -o '^[0-9.]*')
-[ -n "$ratio15" ] || { echo "CI FAIL: E15 improvement line missing from bench summary"; exit 1; }
-echo "measured prewarm improvement: ${ratio15}x"
-awk -v r="$ratio15" 'BEGIN { exit !(r >= 1.5) }' \
-  || { echo "CI FAIL: E15 prewarm settle improvement ${ratio15}x is below the 1.5x gate"; exit 1; }
-
 echo "== E16 gate: dispatch-table improvement >= 1.3x (match vs table core, micro) =="
-# The E16 line reads "x dispatch improvement" so none of the E13/E14/E15
-# greps above can match it, and vice versa; the section's settle line reads
-# "x settle win" to stay out of this grep too.
+# The E16 line reads "x dispatch improvement" so the E13 grep above cannot
+# match it, and vice versa; the section's settle line reads "x settle win"
+# to stay out of both greps.
 ratio16=$(grep -o '[0-9.]*x dispatch improvement' <<<"$summary" | tail -n 1 | grep -o '^[0-9.]*')
 [ -n "$ratio16" ] || { echo "CI FAIL: E16 improvement line missing from bench summary"; exit 1; }
 echo "measured dispatch improvement: ${ratio16}x"
 awk -v r="$ratio16" 'BEGIN { exit !(r >= 1.3) }' \
   || { echo "CI FAIL: E16 dispatch improvement ${ratio16}x is below the 1.3x gate"; exit 1; }
 
+echo "== E16 gate: settle improvement >= 2x (match vs table core, finite-Levin VM settle, t1) =="
+ratio_settle=$(grep -o '[0-9.]*x settle win' <<<"$summary" | tail -n 1 | grep -o '^[0-9.]*')
+[ -n "$ratio_settle" ] || { echo "CI FAIL: E16 settle line missing from bench summary"; exit 1; }
+echo "measured settle win: ${ratio_settle}x"
+awk -v r="$ratio_settle" 'BEGIN { exit !(r >= 2.0) }' \
+  || { echo "CI FAIL: E16 settle win ${ratio_settle}x is below the 2x gate"; exit 1; }
+
 echo "== bench regression check against the committed snapshot =="
 # BENCH_<n>.json is the quick-mode JSONL snapshot committed with PR <n>;
 # the newest one is the baseline. The settle benches backing the
-# E2/E13/E14/E15 claims are compared like-for-like — the default quick
+# E2/E13 claims are compared like-for-like — the default quick
 # profile against the quick snapshot — so a >10% regression FAILs. Two
 # noise defenses keep that gate honest on shared/throttled CI hosts, whose
 # wall-clock throughput can swing ±30% with machine load: goc-report
@@ -324,7 +257,7 @@ if [ -n "$snap" ]; then
   cmp_out=$(cargo run --release --offline -p goc-bench --bin goc-report -- \
     --compare "$snap" target/goc-bench.jsonl)
   printf '%s\n' "$cmp_out"
-  if grep -E 'e2_finite_levin|e13_zero_copy|e14_batch|e15_prewarm' <<<"$cmp_out" \
+  if grep -E 'e2_finite_levin|e13_zero_copy' <<<"$cmp_out" \
       | grep -v 'µs' | grep -q 'REGRESSION'; then
     if [ "${CI_BENCH_FULL:-0}" = "1" ]; then
       echo "CI WARN: settle bench regressed >10% vs $snap (full-mode medians vs quick snapshot; advisory)"
@@ -334,12 +267,10 @@ if [ -n "$snap" ]; then
       rm -f "$recheck"
       GOC_BENCH_JSON="$PWD/$recheck" cargo bench --offline -p goc-bench --bench e2_finite_levin
       GOC_BENCH_JSON="$PWD/$recheck" cargo bench --offline -p goc-bench --bench e13_zero_copy --features count-allocs
-      GOC_BENCH_JSON="$PWD/$recheck" cargo bench --offline -p goc-bench --bench e14_batch
-      GOC_BENCH_JSON="$PWD/$recheck" cargo bench --offline -p goc-bench --bench e15_prewarm
       cmp_out2=$(cargo run --release --offline -p goc-bench --bin goc-report -- \
         --compare "$snap" "$recheck")
       printf '%s\n' "$cmp_out2"
-      if grep -E 'e2_finite_levin|e13_zero_copy|e14_batch|e15_prewarm' <<<"$cmp_out2" \
+      if grep -E 'e2_finite_levin|e13_zero_copy' <<<"$cmp_out2" \
           | grep -v 'µs' | grep -q 'REGRESSION'; then
         echo "CI FAIL: settle bench regressed >10% vs $snap (reproduced on re-run; see tables above)"
         exit 1

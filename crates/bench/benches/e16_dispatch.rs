@@ -6,10 +6,11 @@
 //! [`goc_vm::dispatch::with_dispatch`]) and once on the table. `ci.sh`
 //! gates the table arm at >= 1.3x the match median.
 //!
-//! The settle pair times the same axis end to end on the E14-class
-//! finite-Levin workload with batching pinned off, so every candidate round
-//! runs the scalar core under comparison. Both arms compute the identical
-//! settle round — only dispatch differs.
+//! The settle pair times the same axis end to end on a finite-Levin
+//! workload over fuel-burning VM programs, so every candidate round runs the
+//! core under comparison. Both arms compute the identical settle round —
+//! only dispatch differs. `ci.sh` gates the table arm at >= 2x the match
+//! median.
 //!
 //! Runs at `t1`: both workloads are single conversations; threading only
 //! adds scheduler noise to what is purely a dispatch-loop comparison.

@@ -250,7 +250,7 @@ fn bench_summary(path: &str) {
     }
     println!("# bench summary from {path} ({} records)\n", records.len());
     println!(
-        "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>10} {:>12} {:>12} {:>9} {:>8}",
+        "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>10} {:>12} {:>12} {:>9}",
         "benchmark",
         "median",
         "p95",
@@ -260,8 +260,7 @@ fn bench_summary(path: &str) {
         "cache",
         "allocs",
         "peak",
-        "dispatch",
-        "mispred"
+        "dispatch"
     );
     let mut group = String::new();
     for r in &records {
@@ -288,9 +287,8 @@ fn bench_summary(path: &str) {
         let allocs = r.allocs.map(|a| format!("{a}/iter")).unwrap_or_default();
         let peak = r.peak_bytes.map(fmt_bytes).unwrap_or_default();
         let dispatch = r.dispatch.clone().unwrap_or_default();
-        let mispred = r.mispredicts.map(|m| m.to_string()).unwrap_or_default();
         println!(
-            "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>10} {:>12} {:>12} {:>9} {:>8}",
+            "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>10} {:>12} {:>12} {:>9}",
             format!("{}/{}", r.group, r.id),
             fmt_ns(r.median_ns),
             fmt_ns(r.p95_ns),
@@ -300,14 +298,11 @@ fn bench_summary(path: &str) {
             cache,
             allocs,
             peak,
-            dispatch,
-            mispred
+            dispatch
         );
     }
     speedup_section(&records);
     e13_improvement_section(&records);
-    e14_improvement_section(&records);
-    e15_improvement_section(&records);
     e16_improvement_section(&records);
     if skipped > 0 {
         println!("\n({skipped} malformed lines skipped)");
@@ -337,57 +332,12 @@ fn e13_improvement_section(records: &[BenchRecord]) {
     }
 }
 
-/// Prints the E14 headline number: wall-clock improvement of the batch
-/// (predecoded) VM interpreter over the exact scalar path on the
-/// finite-Levin settle workload, single-threaded. CI gates this at >= 2x.
-/// The "batch improvement" wording is deliberate — it keeps this line out
-/// of the E13 gate's `x improvement` grep.
-fn e14_improvement_section(records: &[BenchRecord]) {
-    let median = |id: &str| records.iter().rev().find(|r| r.id == id).map(|r| r.median_ns);
-    let scalar = median("levin_settle_scalar@t1");
-    let batch = median("levin_settle_batch@t1");
-    if let (Some(scalar), Some(batch)) = (scalar, batch) {
-        if batch > 0 {
-            println!("\n## E14 batch interpreter settle improvement (t1, scalar vs batch VM)");
-            println!(
-                "scalar {} -> batch {}  ({:.2}x batch improvement)",
-                fmt_ns(scalar),
-                fmt_ns(batch),
-                scalar as f64 / batch as f64
-            );
-        }
-    }
-}
-
-/// Prints the E15 headline number: wall-clock improvement of the pipelined
-/// background prewarm (pool workers speculatively executing the next
-/// lookahead window, with fixed-point fill) over inline candidate
-/// construction on the burner-heavy finite-Levin settle workload. CI gates
-/// this at >= 1.5x. The "prewarm improvement" wording keeps this line out
-/// of the E13 and E14 gates' greps.
-fn e15_improvement_section(records: &[BenchRecord]) {
-    let median = |id: &str| records.iter().rev().find(|r| r.id == id).map(|r| r.median_ns);
-    let inline = median("levin_settle_inline@t4");
-    let warmed = median("levin_settle_prewarm@t4");
-    if let (Some(inline), Some(warmed)) = (inline, warmed) {
-        if warmed > 0 {
-            println!("\n## E15 pipelined prewarm settle improvement (t4, inline vs background)");
-            println!(
-                "inline {} -> prewarm {}  ({:.2}x prewarm improvement)",
-                fmt_ns(inline),
-                fmt_ns(warmed),
-                inline as f64 / warmed as f64
-            );
-        }
-    }
-}
-
 /// Prints the E16 headline numbers: wall-clock improvement of the
-/// predecoded dispatch-table scalar core over the legacy `match` loop, on
-/// the raw instruction micro-bench (CI gates this at >= 1.3x) and on the
-/// E14-class settle workload with batching pinned off. The "dispatch
-/// improvement" wording keeps the gated line out of the E13/E14/E15 greps,
-/// and the settle line's "settle win" wording keeps it out of the E16 grep.
+/// predecoded dispatch-table core over the legacy `match` loop, on the raw
+/// instruction micro-bench (CI gates this at >= 1.3x) and on the
+/// finite-Levin VM settle workload (CI gates this at >= 2x). The "dispatch
+/// improvement" wording keeps the micro line out of the E13 grep, and the
+/// settle line's "settle win" wording keeps it out of both.
 fn e16_improvement_section(records: &[BenchRecord]) {
     let median = |id: &str| records.iter().rev().find(|r| r.id == id).map(|r| r.median_ns);
     let via_match = median("vm_instructions_10k_rounds_match");
@@ -408,7 +358,7 @@ fn e16_improvement_section(records: &[BenchRecord]) {
     if let (Some(off), Some(on)) = (off, on) {
         if on > 0 {
             println!(
-                "settle (batch off): match {} -> table {}  ({:.2}x settle win)",
+                "settle: match {} -> table {}  ({:.2}x settle win)",
                 fmt_ns(off),
                 fmt_ns(on),
                 off as f64 / on as f64
@@ -618,26 +568,6 @@ fn report(quick: bool) {
         stats.recycled
     );
     assert_eq!(stats.misses, 0, "a warm steady batch must be served entirely from the pool");
-
-    // --- E14 --------------------------------------------------------------
-    println!("\n## E14 — batch VM interpreter (scalar-vs-batch settle parity)");
-    let scalar_settle = exp::e14_levin_vm_settle(false);
-    let batch_settle = exp::e14_levin_vm_settle(true);
-    assert_eq!(
-        scalar_settle, batch_settle,
-        "scalar and batch interpreters must settle identically"
-    );
-    println!("finite-Levin settle round (both interpreters): {batch_settle}");
-
-    // --- E15 --------------------------------------------------------------
-    println!("\n## E15 — pipelined background prewarm (inline-vs-pipelined settle parity)");
-    let inline_settle = goc_core::par::with_thread_count(4, || exp::e15_levin_prewarm_settle(false));
-    let prewarm_settle = goc_core::par::with_thread_count(4, || exp::e15_levin_prewarm_settle(true));
-    assert_eq!(
-        inline_settle, prewarm_settle,
-        "inline and pipelined prewarm must settle identically"
-    );
-    println!("finite-Levin settle round (both construction paths): {prewarm_settle}");
 
     // --- E16 --------------------------------------------------------------
     println!("\n## E16 — dispatch-table scalar core (match-vs-table settle parity)");

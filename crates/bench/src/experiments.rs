@@ -821,31 +821,31 @@ impl Default for SteadyLoop {
 }
 
 // ---------------------------------------------------------------------------
-// E14 — batch VM interpretation: finite-Levin settle over a program class
+// E16 — dispatch-table scalar core: table-vs-match settle over a VM class
 // ---------------------------------------------------------------------------
 
-/// Horizon for the E14 settle runs (the winning program settles well before
+/// Horizon for the VM settle runs (the winning program settles well before
 /// this).
-pub const E14_HORIZON: u64 = 100_000;
+pub const LEVIN_VM_HORIZON: u64 = 100_000;
 
-/// Per-round fuel for E14 candidates. High enough that the `jmp`-spinning
-/// burner programs scheduled before the winner dominate the run with VM
-/// interpretation work — the workload the batch interpreter accelerates.
-pub const E14_FUEL: u32 = 8_192;
+/// Per-round fuel for the VM settle candidates. High enough that the
+/// `jmp`-spinning burner programs scheduled before the winner dominate the
+/// run with VM interpretation work.
+pub const LEVIN_VM_FUEL: u32 = 8_192;
 
-/// The E14/E16 workload: one finite-Levin conquest over a small VM-program
-/// class (alphabet `{jmp, emit.a, 'h'}`, length ≤ 3) with the candidate
-/// cache pinned **off**, so the run measures interpretation itself.
+/// The E16 settle workload: one finite-Levin conquest over a small
+/// VM-program class (alphabet `{jmp, emit.a, 'h'}`, length ≤ 3) with the
+/// candidate cache pinned **off**, so the run measures interpretation
+/// itself.
 ///
 /// The class plants `[emit.a 'h']` a few indices behind several programs
 /// that decode to self-jumps and burn their full fuel every round, so the
 /// run's cost is VM dispatch, not harness bookkeeping. Callers pin the
-/// interpreter axes ([`goc_vm::batch::with_batch`],
-/// [`goc_vm::dispatch::with_dispatch`]) around this.
+/// interpreter core ([`goc_vm::dispatch::with_dispatch`]) around this.
 fn levin_vm_settle_workload(seed: u64) -> u64 {
     let class = goc_vm::ProgramEnumerator::over(vec![0x0b, 0x01, b'h'])
         .with_max_len(3)
-        .with_fuel(E14_FUEL)
+        .with_fuel(LEVIN_VM_FUEL)
         .with_cache(false);
     let goal = toy::MagicWordGoal::new("h");
     let user = LevinUniversalUser::new(Box::new(class), Box::new(toy::ack_sensing()), 8);
@@ -856,103 +856,18 @@ fn levin_vm_settle_workload(seed: u64) -> u64 {
         Box::new(user),
         rng,
     );
-    let t = exec.run(E14_HORIZON);
+    let t = exec.run(LEVIN_VM_HORIZON);
     let v = evaluate_finite(&goal, &t);
     assert!(v.achieved, "levin VM settle (seed={seed}): {v:?}");
     v.rounds
 }
 
-/// E14: the workload interpreted by the batch (`true`) or exact scalar
-/// (`false`) VM path; returns the settle round. The two arms must settle on
-/// the identical round (`goc-report` asserts parity).
-///
-/// The scalar arm is pinned to the legacy `match` core
-/// (`with_dispatch(false)`) so the bench keeps its historical baseline —
-/// the ≥2x batch gate measures batching against the interpreter E14 was
-/// introduced with, not against the (faster) dispatch table, which gets its
-/// own axis in E16.
-pub fn e14_levin_vm_settle(batch: bool) -> u64 {
-    goc_vm::dispatch::with_dispatch(batch, || {
-        goc_vm::batch::with_batch(batch, || levin_vm_settle_workload(1_400))
-    })
-}
-
-// ---------------------------------------------------------------------------
-// E15 — pipelined background prewarm: pooled workers pre-execute candidates
-// ---------------------------------------------------------------------------
-
-/// Horizon for the E15 settle runs.
-pub const E15_HORIZON: u64 = 200_000;
-
-/// Per-round fuel for E15 candidates. As in E14, high enough that the
-/// self-jump burner programs dominate the run with VM interpretation work.
-pub const E15_FUEL: u32 = 8_192;
-
-/// Base round-robin budget for E15. Small enough that the default prewarm
-/// depth (`GOC_PREWARM_DEPTH`, 16) covers a candidate's whole first-pass
-/// slot, so a prewarmed candidate replays entirely from the cache.
-pub const E15_BASE: u64 = 8;
-
-/// One finite-Levin conquest tuned for the background-prewarm pipeline:
-/// round-robin schedule (uniform slots the prewarm depth covers), candidate
-/// cache **on**, batch interpretation on, and a winner planted deep in the
-/// class (`emit 'h'; emit 'h'` is the first program whose single-round
-/// message is exactly `"hh"`, at index 89 of 120) behind dozens of
-/// fuel-burning decoys. Returns the settle round.
-///
-/// With `prewarm` on, idle pool workers speculatively execute the next
-/// lookahead window's candidates against empty inboxes while the live
-/// window runs, so the foreground replays the burners from the cache; with
-/// it off every burner round executes inline on the calling thread. The
-/// process-global candidate cache is cleared first so each arm measures its
-/// own fills — without this, whichever arm runs second would inherit the
-/// first arm's entries and the comparison would collapse.
-pub fn e15_levin_prewarm_settle(prewarm: bool) -> u64 {
-    goc_vm::cache::clear();
-    // Also reset the continuation predictor: first-output classes learned by
-    // one arm (or an earlier experiment) must not steer the other arm's
-    // speculation, for the same isolation reason the cache is cleared.
-    goc_vm::predict::reset();
-    goc_core::par::with_prewarm(prewarm, || {
-        goc_vm::batch::with_batch(true, || {
-            let class = goc_vm::ProgramEnumerator::over(vec![0x0b, 0x01, b'h'])
-                .with_max_len(4)
-                .with_fuel(E15_FUEL)
-                .with_cache(true);
-            let goal = toy::MagicWordGoal::new("hh");
-            let user = LevinUniversalUser::round_robin(
-                Box::new(class),
-                Box::new(toy::ack_sensing()),
-                E15_BASE,
-            );
-            let mut rng = GocRng::seed_from_u64(1_500);
-            let mut exec = Execution::new(
-                goal.spawn_world(&mut rng),
-                Box::new(toy::RelayServer::default()),
-                Box::new(user),
-                rng,
-            );
-            let t = exec.run(E15_HORIZON);
-            let v = evaluate_finite(&goal, &t);
-            assert!(v.achieved, "E15 settle (prewarm={prewarm}): {v:?}");
-            v.rounds
-        })
-    })
-}
-
-// ---------------------------------------------------------------------------
-// E16 — dispatch-table scalar core: table-vs-match settle over the E14 class
-// ---------------------------------------------------------------------------
-
-/// E16: the E14 workload with the batch interpreter pinned **off**, so every
-/// candidate round runs the scalar core — predecoded table dispatch
-/// (`true`) or the legacy `match` loop (`false`); returns the settle round.
-/// The two cores must settle on the identical round (`goc-report` asserts
-/// parity); the E16 bench times the same pair.
+/// E16: the settle workload with every candidate round on the predecoded
+/// table dispatch (`true`) or the legacy `match` loop (`false`); returns
+/// the settle round. The two cores must settle on the identical round
+/// (`goc-report` asserts parity); the E16 bench times the same pair.
 pub fn e16_levin_dispatch_settle(table: bool) -> u64 {
-    goc_vm::dispatch::with_dispatch(table, || {
-        goc_vm::batch::with_batch(false, || levin_vm_settle_workload(1_600))
-    })
+    goc_vm::dispatch::with_dispatch(table, || levin_vm_settle_workload(1_600))
 }
 
 #[cfg(test)]
@@ -1075,17 +990,6 @@ mod tests {
         let par = with_thread_count(4, || e13_settle12(ResumePolicy::Resume, CopyMode::Pooled, 8_000));
         assert_eq!(seq, par);
         assert_eq!(seq.len(), e1_dialects().len());
-    }
-
-    #[test]
-    fn e15_settle_is_prewarm_and_thread_invariant() {
-        use goc_core::par::with_thread_count;
-        let inline_t1 = with_thread_count(1, || e15_levin_prewarm_settle(false));
-        let inline_t4 = with_thread_count(4, || e15_levin_prewarm_settle(false));
-        let warmed_t4 = with_thread_count(4, || e15_levin_prewarm_settle(true));
-        assert_eq!(inline_t1, inline_t4);
-        assert_eq!(inline_t4, warmed_t4, "prewarm must not move the settle round");
-        assert!(warmed_t4 > 0, "the winner is not at index 0: settling takes switches");
     }
 
     #[test]

@@ -36,27 +36,12 @@ pub trait StrategyEnumerator: Debug {
     ///
     /// The universal users use this to pre-materialise the next few scheduled
     /// candidates in one call. The default is a sequential loop over
-    /// [`StrategyEnumerator::strategy`]; enumerators whose concrete strategy
-    /// type is `Send` (e.g. the VM program enumerator) may override it to
-    /// build candidates in parallel. Overrides must be observably identical
-    /// to the default: same instances, same order, `None` exactly where
+    /// [`StrategyEnumerator::strategy`]; overrides must be observably
+    /// identical to it: same instances, same order, `None` exactly where
     /// `strategy` returns `None`.
     fn batch(&self, indices: &[usize]) -> Vec<Option<BoxedUser>> {
         indices.iter().map(|&i| self.strategy(i)).collect()
     }
-
-    /// Hints that `indices` will be requested by a future
-    /// [`batch`](StrategyEnumerator::batch) call, so the enumerator may
-    /// start preparing those candidates in the background (idle
-    /// [`par::pool`](crate::par::pool) workers) while the caller keeps
-    /// running the live candidate.
-    ///
-    /// Purely advisory and must be observably inert: a later `batch` over
-    /// the same indices returns exactly what it would have without the
-    /// hint, and background work may only compute pure functions of the
-    /// index (e.g. value-identical cache entries). The default does
-    /// nothing.
-    fn prefetch(&self, _indices: &[usize]) {}
 
     /// A short human-readable name for diagnostics.
     fn name(&self) -> String {
@@ -75,10 +60,6 @@ impl<E: StrategyEnumerator + ?Sized> StrategyEnumerator for Box<E> {
 
     fn batch(&self, indices: &[usize]) -> Vec<Option<BoxedUser>> {
         (**self).batch(indices)
-    }
-
-    fn prefetch(&self, indices: &[usize]) {
-        (**self).prefetch(indices)
     }
 
     fn name(&self) -> String {

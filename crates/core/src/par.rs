@@ -8,8 +8,7 @@
 //! order**, so aggregation is deterministic regardless of scheduling. The
 //! pool replaces the earlier scoped `std::thread::scope` design, which paid a
 //! thread spawn+join per `par_map` call; workers now park on a condvar
-//! between calls and the same threads also absorb background prewarm jobs
-//! (see [`pool::submit`]) when no foreground work is queued.
+//! between calls.
 //!
 //! Thread count resolution, in priority order:
 //!
@@ -26,25 +25,14 @@
 //!
 //! Nested calls do not oversubscribe: pool workers run every task under an
 //! implicit `with_thread_count(1, ..)`, so a `par_map` reached from inside
-//! another `par_map` (or from a background job) executes sequentially on its
-//! worker.
-//!
-//! The module also owns the `GOC_PREWARM` knob ([`prewarm_enabled`] /
-//! [`with_prewarm`]): the gate for the pipelined background candidate
-//! prewarm that the universal users and `goc-vm`'s enumerators build on top
-//! of [`pool::submit`]. Default on; `GOC_PREWARM=0` restores the inline
-//! (foreground) prewarm path. The flag is observationally inert either way —
-//! background prewarm only inserts value-identical cache entries and emits
-//! process-scoped (nondeterministic) metrics, so `GOC_TRACE` output is
-//! byte-identical across `GOC_PREWARM` settings.
+//! another `par_map` executes sequentially on its worker.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    static PREWARM_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
 }
 
 /// Resolves the effective worker count for this thread (always ≥ 1).
@@ -86,65 +74,27 @@ pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Whether pipelined background prewarm is enabled on this thread.
-///
-/// Resolution: a thread-local override installed by [`with_prewarm`], then
-/// the `GOC_PREWARM` environment variable (read once and latched; any value
-/// other than `"0"` — including unset — enables it). The knob gates
-/// *pipelining only*: consumers must additionally have idle workers
-/// available ([`thread_count`] > 1) for a background job to be worth
-/// dispatching, and with the gate off every prewarm runs inline on the
-/// calling thread exactly as before the pool existed.
-pub fn prewarm_enabled() -> bool {
-    if let Some(v) = PREWARM_OVERRIDE.with(|o| o.get()) {
-        return v;
-    }
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("GOC_PREWARM").map(|v| v != "0").unwrap_or(true))
-}
-
-/// Runs `f` with background prewarm pinned on/off for the current thread,
-/// restoring the previous setting afterwards (also on panic). Mirrors
-/// [`with_thread_count`]; benches use it to compare the inline and pipelined
-/// prewarm paths in-process without racing on the environment.
-pub fn with_prewarm<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PREWARM_OVERRIDE.with(|o| o.set(self.0));
-        }
-    }
-    let _restore = Restore(PREWARM_OVERRIDE.with(|o| o.replace(Some(enabled))));
-    f()
-}
-
-/// The persistent worker pool behind [`par_map`] and the background prewarm
-/// pipeline.
+/// The persistent worker pool behind [`par_map`].
 ///
 /// Workers are plain detached `std::thread`s, spawned lazily the first time
 /// they are needed and parked on a condvar between jobs — a `par_map` call
 /// in the steady state costs two mutex operations and a notify instead of a
-/// `thread::scope` spawn+join cycle. Two queues feed them:
-///
-/// * **foreground** — lifetime-erased shards of an in-flight [`par_map`]
-///   call; always drained first, so background work can never delay a live
-///   computation that has reached the pool;
-/// * **background** — `'static` jobs handed to [`submit`] (candidate
-///   prewarm); drained only when no foreground work is queued.
+/// `thread::scope` spawn+join cycle. One queue feeds them: lifetime-erased
+/// shards of in-flight [`par_map`] calls.
 ///
 /// Every task runs under `with_thread_count(1, ..)` (nested fan-out stays
-/// sequential) and under `catch_unwind` (a panicking job can never take a
-/// pool thread down; the payload is re-raised at the matching join).
+/// sequential) and under `catch_unwind` (a panicking task can never take a
+/// pool thread down; the payload is re-raised in the caller).
 ///
-/// # Safety of the foreground path
+/// # Safety
 ///
-/// Foreground shards borrow the caller's stack (`par_map`'s closure,
-/// cursor, and result buffer). The borrow is transmuted to `'static` to
-/// cross the queue, which is sound because [`run_scoped`] does not return —
-/// not even by unwinding — until every shard has finished: a drop guard
-/// blocks on the shard countdown even when the caller's own slice of the
-/// work panics. This is the same discipline `std::thread::scope` enforces,
-/// applied to persistent threads.
+/// Shards borrow the caller's stack (`par_map`'s closure, cursor, and
+/// result buffer). The borrow is transmuted to `'static` to cross the
+/// queue, which is sound because [`run_scoped`] does not return — not even
+/// by unwinding — until every shard has finished: a drop guard blocks on
+/// the shard countdown even when the caller's own slice of the work panics.
+/// This is the same discipline `std::thread::scope` enforces, applied to
+/// persistent threads.
 pub mod pool {
     use std::any::Any;
     use std::collections::VecDeque;
@@ -154,30 +104,10 @@ pub mod pool {
 
     type Task = Box<dyn FnOnce() + Send>;
 
-    /// A queued background job: the runnable body plus a handle on its
-    /// completion state, kept separately so [`shutdown`] can complete the
-    /// handle of a job it discards without running the body.
-    struct BgJob {
-        state: Arc<JobState>,
-        body: Task,
-    }
-
-    struct Queues {
-        foreground: VecDeque<Task>,
-        background: VecDeque<BgJob>,
-        /// Background jobs currently executing on a worker. [`drain`] and
-        /// [`shutdown`] wait for this to reach zero — a job mid-write is
-        /// never abandoned, only completed.
-        background_active: usize,
-    }
-
     struct Pool {
-        queues: Mutex<Queues>,
+        queue: Mutex<VecDeque<Task>>,
         /// Signalled whenever a task is queued; workers park here.
         available: Condvar,
-        /// Signalled when the background lane goes idle (queue empty, no
-        /// job executing); [`drain`]/[`shutdown`] park here.
-        bg_idle: Condvar,
         /// Number of persistent workers spawned so far.
         workers: AtomicUsize,
     }
@@ -185,28 +115,21 @@ pub mod pool {
     fn pool() -> &'static Pool {
         static POOL: OnceLock<Pool> = OnceLock::new();
         POOL.get_or_init(|| Pool {
-            queues: Mutex::new(Queues {
-                foreground: VecDeque::new(),
-                background: VecDeque::new(),
-                background_active: 0,
-            }),
+            queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
-            bg_idle: Condvar::new(),
             workers: AtomicUsize::new(0),
         })
     }
 
-    /// Locks the task queues, recovering from poisoning: tasks themselves
+    /// Locks the task queue, recovering from poisoning: tasks themselves
     /// run outside the lock (and under `catch_unwind`), so a poisoned queue
     /// mutex carries no information about queue integrity.
-    fn lock_queues(p: &Pool) -> std::sync::MutexGuard<'_, Queues> {
-        p.queues.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_queue(p: &Pool) -> std::sync::MutexGuard<'_, VecDeque<Task>> {
+        p.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Grows the pool to at least `n` persistent workers. [`submit`] only
-    /// guarantees a single worker; callers queueing several background jobs
-    /// they expect to overlap should reserve capacity here first.
-    pub fn ensure_workers(n: usize) {
+    /// Grows the pool to at least `n` persistent workers.
+    fn ensure_workers(n: usize) {
         let p = pool();
         loop {
             let cur = p.workers.load(Ordering::Relaxed);
@@ -227,20 +150,12 @@ pub mod pool {
 
     fn worker_loop() {
         let p = pool();
-        enum Picked {
-            Fg(Task),
-            Bg(BgJob),
-        }
         loop {
-            let picked = {
-                let mut q = lock_queues(p);
+            let task = {
+                let mut q = lock_queue(p);
                 loop {
-                    if let Some(t) = q.foreground.pop_front() {
-                        break Picked::Fg(t);
-                    }
-                    if let Some(j) = q.background.pop_front() {
-                        q.background_active += 1;
-                        break Picked::Bg(j);
+                    if let Some(t) = q.pop_front() {
+                        break t;
                     }
                     q = p.available.wait(q).unwrap_or_else(PoisonError::into_inner);
                 }
@@ -248,172 +163,15 @@ pub mod pool {
             // Nested par_map calls run sequentially on pool workers, and a
             // panicking task must not take the persistent thread down — the
             // payload is delivered through the task's own completion state.
-            match picked {
-                Picked::Fg(task) => {
-                    let _ = catch_unwind(AssertUnwindSafe(|| super::with_thread_count(1, task)));
-                }
-                Picked::Bg(job) => {
-                    let _ =
-                        catch_unwind(AssertUnwindSafe(|| super::with_thread_count(1, job.body)));
-                    let mut q = lock_queues(p);
-                    q.background_active -= 1;
-                    if q.background.is_empty() && q.background_active == 0 {
-                        p.bg_idle.notify_all();
-                    }
-                }
-            }
+            let _ = catch_unwind(AssertUnwindSafe(|| super::with_thread_count(1, task)));
         }
     }
 
-    /// Completion state of one background job.
-    #[derive(Default)]
-    struct JobDone {
-        finished: bool,
-        /// The job was removed from the queue by [`shutdown`] without
-        /// running.
-        discarded: bool,
-        /// First panic payload, re-raised at [`JobHandle::join`].
-        panic: Option<Box<dyn Any + Send>>,
-    }
+    /// Kept only for perfbench; remove in the next benchmark PR. Returns
+    /// immediately.
+    pub fn drain() {}
 
-    struct JobState {
-        done: Mutex<JobDone>,
-        cv: Condvar,
-    }
-
-    /// Handle to a background job queued with [`submit`].
-    ///
-    /// Dropping the handle detaches the job (it still runs). [`join`]
-    /// blocks until completion and re-raises the job's panic, if any.
-    ///
-    /// [`join`]: JobHandle::join
-    pub struct JobHandle {
-        state: Arc<JobState>,
-    }
-
-    impl JobHandle {
-        /// Blocks until the job has finished (or was discarded by
-        /// [`shutdown`]); re-raises its panic.
-        pub fn join(self) {
-            let mut g = self.state.done.lock().unwrap_or_else(PoisonError::into_inner);
-            while !g.finished {
-                g = self.state.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-            }
-            if let Some(payload) = g.panic.take() {
-                drop(g);
-                resume_unwind(payload);
-            }
-        }
-
-        /// Whether the job has finished (without blocking).
-        pub fn is_finished(&self) -> bool {
-            self.state.done.lock().unwrap_or_else(PoisonError::into_inner).finished
-        }
-
-        /// Whether the job was discarded by [`shutdown`] before it ran.
-        /// Background work is advisory (cache prewarm), so a discarded job
-        /// completes its handle without running — callers that *require*
-        /// the side effect should check this after [`join`].
-        ///
-        /// [`join`]: JobHandle::join
-        pub fn was_discarded(&self) -> bool {
-            self.state.done.lock().unwrap_or_else(PoisonError::into_inner).discarded
-        }
-    }
-
-    /// Queues `f` on the background lane of the pool, growing it to the
-    /// effective [`thread_count`](super::thread_count) target so queued
-    /// jobs overlap instead of serializing on a single worker — a daemon
-    /// enqueueing many prewarm jobs gets the parallelism `GOC_THREADS`
-    /// promises without every call site remembering
-    /// [`ensure_workers`]. Background tasks run only when no foreground
-    /// (`par_map`) shard is queued, under `with_thread_count(1, ..)`.
-    pub fn submit(f: impl FnOnce() + Send + 'static) -> JobHandle {
-        ensure_workers(super::thread_count());
-        let state = Arc::new(JobState { done: Mutex::new(JobDone::default()), cv: Condvar::new() });
-        let task_state = Arc::clone(&state);
-        let body: Task = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(f));
-            let mut g = task_state.done.lock().unwrap_or_else(PoisonError::into_inner);
-            g.finished = true;
-            if let Err(payload) = result {
-                g.panic = Some(payload);
-            }
-            task_state.cv.notify_all();
-        });
-        let p = pool();
-        {
-            let mut q = lock_queues(p);
-            q.background.push_back(BgJob { state: Arc::clone(&state), body });
-        }
-        crate::obs_count_nd!("par.pool.jobs", 1u64);
-        p.available.notify_one();
-        JobHandle { state }
-    }
-
-    /// Blocks until the background lane is **empty and quiescent**: every
-    /// job queued so far (including jobs queued by other threads while this
-    /// call waits) has run to completion and no background job is
-    /// executing. Foreground (`par_map`) work is unaffected.
-    ///
-    /// This is the orderly half of the teardown pair — `goc-serve` calls it
-    /// when stopping a shard and the CLI calls it on exit, so a prewarm job
-    /// mid-write into a shared cache is completed rather than lost with the
-    /// process. The complement is [`shutdown`], which discards the queue.
-    pub fn drain() {
-        let p = pool();
-        {
-            // Queued jobs need a worker to ever complete; `submit`
-            // guarantees one exists whenever it queues, but be defensive —
-            // a hang here would be far worse than one spawn.
-            let q = lock_queues(p);
-            let queued = !q.background.is_empty();
-            drop(q);
-            if queued {
-                ensure_workers(1);
-            }
-        }
-        let mut q = lock_queues(p);
-        while !(q.background.is_empty() && q.background_active == 0) {
-            q = p.bg_idle.wait(q).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Discards every **queued** background job — their handles complete
-    /// immediately, marked [`was_discarded`](JobHandle::was_discarded),
-    /// without the body running — then waits for jobs already executing to
-    /// finish (a job mid-write is never interrupted). Returns the number of
-    /// jobs discarded.
-    ///
-    /// Deterministic teardown contract: after `shutdown` returns, no
-    /// background job is running or will ever run from the pre-call queue,
-    /// and every handle is complete. The pool itself stays usable — later
-    /// [`submit`]/[`par_map`] calls behave normally.
-    pub fn shutdown() -> usize {
-        let p = pool();
-        let mut q = lock_queues(p);
-        let dropped: Vec<BgJob> = q.background.drain(..).collect();
-        for job in &dropped {
-            let mut g = job.state.done.lock().unwrap_or_else(PoisonError::into_inner);
-            g.finished = true;
-            g.discarded = true;
-            job.state.cv.notify_all();
-        }
-        while q.background_active > 0 {
-            q = p.bg_idle.wait(q).unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(q);
-        // Other drain()/shutdown() waiters see the lane idle now.
-        p.bg_idle.notify_all();
-        let n = dropped.len();
-        // Job bodies may own arbitrary state; run their destructors outside
-        // the queue lock.
-        drop(dropped);
-        crate::obs_count_nd!("par.pool.discarded", n as u64);
-        n
-    }
-
-    /// Shared countdown for one scoped (foreground) fan-out.
+    /// Shared countdown for one scoped fan-out.
     struct ScopedJob {
         /// The caller's body, lifetime-erased; valid until `remaining`
         /// reaches zero, which [`run_scoped`] awaits before returning.
@@ -449,10 +207,10 @@ pub mod pool {
         });
         let p = pool();
         {
-            let mut q = lock_queues(p);
+            let mut q = lock_queue(p);
             for _ in 0..extra {
                 let job = Arc::clone(&job);
-                q.foreground.push_back(Box::new(move || {
+                q.push_back(Box::new(move || {
                     if let Err(payload) = catch_unwind(AssertUnwindSafe(job.body)) {
                         let mut g = job.panic.lock().unwrap_or_else(PoisonError::into_inner);
                         g.get_or_insert(payload);
@@ -601,17 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_override_is_scoped_and_restored() {
-        let ambient = prewarm_enabled();
-        with_prewarm(!ambient, || {
-            assert_eq!(prewarm_enabled(), !ambient);
-            with_prewarm(ambient, || assert_eq!(prewarm_enabled(), ambient));
-            assert_eq!(prewarm_enabled(), !ambient);
-        });
-        assert_eq!(prewarm_enabled(), ambient);
-    }
-
-    #[test]
     fn nested_par_map_runs_sequentially_on_workers() {
         // Inner calls observe a thread count of 1 — no unbounded fan-out.
         let inner_counts = with_thread_count(4, || par_map(8, |_| thread_count()));
@@ -647,154 +394,6 @@ mod tests {
         assert!(pool::worker_count() >= after_first);
     }
 
-    /// Serializes the tests that touch the process-global background lane:
-    /// `shutdown()` discards *every* queued background job, so a test
-    /// running it concurrently with another test's `submit`/`join` pair
-    /// would discard that test's jobs out from under it.
-    static BG_LOCK: Mutex<()> = Mutex::new(());
-
-    fn bg_lock() -> std::sync::MutexGuard<'static, ()> {
-        BG_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    #[test]
-    fn background_jobs_run_and_join() {
-        use std::sync::atomic::AtomicU64;
-        static HITS: AtomicU64 = AtomicU64::new(0);
-        let _g = bg_lock();
-        let handles: Vec<_> =
-            (0..8).map(|_| pool::submit(|| { HITS.fetch_add(1, Ordering::Relaxed); })).collect();
-        for h in handles {
-            h.join();
-        }
-        assert!(HITS.load(Ordering::Relaxed) >= 8);
-    }
-
-    #[test]
-    fn background_job_panic_is_delivered_at_join_not_in_the_pool() {
-        let _g = bg_lock();
-        let ok = pool::submit(|| {});
-        let bad = pool::submit(|| panic!("background boom"));
-        ok.join();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.join()));
-        assert!(err.is_err(), "join must re-raise the job's panic");
-        // The pool survives: later work still runs.
-        let still = pool::submit(|| {});
-        still.join();
-        assert_eq!(with_thread_count(2, || par_map(16, |i| i)).len(), 16);
-    }
-
-    #[test]
-    fn submit_honors_the_effective_thread_target() {
-        // Regression: `submit` used to guarantee only one worker, so queued
-        // background jobs serialized unless a caller happened to call
-        // `ensure_workers(n)` first. Eight jobs rendezvous: each waits for
-        // all eight to have started, which is only possible if the pool
-        // grew to (at least) the thread-local target of 8.
-        use std::sync::atomic::AtomicUsize;
-        static STARTED: AtomicUsize = AtomicUsize::new(0);
-        let _g = bg_lock();
-        let handles: Vec<_> = with_thread_count(8, || {
-            (0..8)
-                .map(|_| {
-                    pool::submit(|| {
-                        STARTED.fetch_add(1, Ordering::SeqCst);
-                        let deadline = std::time::Instant::now()
-                            + std::time::Duration::from_secs(30);
-                        while STARTED.load(Ordering::SeqCst) < 8 {
-                            assert!(
-                                std::time::Instant::now() < deadline,
-                                "background jobs serialized: the pool never \
-                                 grew to the thread target"
-                            );
-                            std::thread::yield_now();
-                        }
-                    })
-                })
-                .collect()
-        });
-        for h in handles {
-            h.join();
-        }
-        assert!(pool::worker_count() >= 8);
-    }
-
-    #[test]
-    fn drain_completes_every_queued_background_job() {
-        use std::sync::atomic::AtomicUsize;
-        static RAN: AtomicUsize = AtomicUsize::new(0);
-        let _g = bg_lock();
-        let handles: Vec<_> = (0..32)
-            .map(|_| pool::submit(|| { RAN.fetch_add(1, Ordering::SeqCst); }))
-            .collect();
-        pool::drain();
-        // After drain, every job has run to completion — nothing is lost
-        // and nothing is still mid-write.
-        assert!(handles.iter().all(|h| h.is_finished()));
-        assert!(handles.iter().all(|h| !h.was_discarded()));
-        assert!(RAN.load(Ordering::SeqCst) >= 32);
-        for h in handles {
-            h.join();
-        }
-    }
-
-    #[test]
-    fn shutdown_discards_queued_jobs_and_finishes_active_ones() {
-        use std::sync::atomic::{AtomicBool, AtomicUsize};
-        static RELEASE: AtomicBool = AtomicBool::new(false);
-        static MARKERS_RAN: AtomicUsize = AtomicUsize::new(0);
-        let _g = bg_lock();
-        RELEASE.store(false, Ordering::SeqCst);
-        // Saturate every live worker (with a wide margin for workers other
-        // tests may spawn concurrently) with jobs that park until released,
-        // so the marker jobs queued behind them cannot start.
-        let blockers: Vec<_> = (0..pool::worker_count() + 64)
-            .map(|_| {
-                pool::submit(|| {
-                    let deadline =
-                        std::time::Instant::now() + std::time::Duration::from_secs(30);
-                    while !RELEASE.load(Ordering::SeqCst) {
-                        assert!(std::time::Instant::now() < deadline, "release never came");
-                        std::thread::yield_now();
-                    }
-                })
-            })
-            .collect();
-        let markers: Vec<_> = (0..8)
-            .map(|_| pool::submit(|| { MARKERS_RAN.fetch_add(1, Ordering::SeqCst); }))
-            .collect();
-        // shutdown() blocks on the *active* blockers, so run it on a helper
-        // thread, wait until it has cleared the queue (every marker handle
-        // completes as discarded), then release the active jobs.
-        let shut = std::thread::spawn(pool::shutdown);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while !markers.iter().all(|h| h.is_finished()) {
-            assert!(std::time::Instant::now() < deadline, "shutdown never cleared the queue");
-            std::thread::yield_now();
-        }
-        RELEASE.store(true, Ordering::SeqCst);
-        let discarded = shut.join().expect("shutdown thread");
-        // Every marker was queued behind the blockers, so none ran: the
-        // discard is deterministic, not racy best-effort.
-        assert_eq!(MARKERS_RAN.load(Ordering::SeqCst), 0, "a discarded job ran anyway");
-        assert!(markers.iter().all(|h| h.was_discarded()));
-        assert!(discarded >= markers.len(), "shutdown discarded {discarded} < 8 jobs");
-        for h in markers {
-            h.join(); // completes immediately, no panic
-        }
-        for h in blockers {
-            h.join(); // active ones ran to completion; queued ones discarded
-        }
-        // The pool stays usable after shutdown.
-        let again = pool::submit(|| {});
-        while !again.is_finished() {
-            std::thread::yield_now();
-        }
-        assert!(!again.was_discarded());
-        again.join();
-        assert_eq!(with_thread_count(2, || par_map(16, |i| i)).len(), 16);
-    }
-
     #[test]
     fn par_map_panic_propagates_and_pool_survives() {
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -810,13 +409,5 @@ mod tests {
         assert!(err.is_err(), "par_map must propagate worker panics");
         let seq: Vec<usize> = (0..100).collect();
         assert_eq!(with_thread_count(4, || par_map(100, |i| i)), seq);
-    }
-
-    #[test]
-    fn background_jobs_observe_sequential_thread_count() {
-        let h = pool::submit(|| {
-            assert_eq!(thread_count(), 1, "pool tasks must not fan out");
-        });
-        h.join();
     }
 }

@@ -143,16 +143,15 @@ pub struct CompactUniversalUser {
     switches: Vec<SwitchRecord>,
     pending_switch: bool,
     /// Speculatively pre-built `(index, candidate)` slots, consumed strictly
-    /// in schedule order (see [`super::finite::lookahead_width`]). Only used under
+    /// in schedule order (see [`super::finite::LOOKAHEAD`]). Only used under
     /// [`ResumePolicy::Restart`]; the other policies draw from the schedule
     /// one index at a time because a revisit may not build a candidate at
     /// all.
     lookahead: VecDeque<(usize, BoxedUser)>,
-    /// The *following* lookahead window's indices, pre-drawn at the last
-    /// refill so they could be handed to [`StrategyEnumerator::prefetch`]
-    /// (background construction on idle pool workers). Restart-policy only,
-    /// like the lookahead itself.
-    prefetched_indices: Option<Vec<usize>>,
+    /// The *following* lookahead window's indices, drawn at the last refill
+    /// and adopted in the same order at the next one (part of the snapshot
+    /// layout). Restart-policy only, like the lookahead itself.
+    next_window: Option<Vec<usize>>,
     policy: ResumePolicy,
     /// Suspension slots, keyed by enumeration index (non-`Restart` only).
     slots: BTreeMap<usize, Slot>,
@@ -246,7 +245,7 @@ impl CompactUniversalUser {
             switches: Vec::new(),
             pending_switch: false,
             lookahead: VecDeque::new(),
-            prefetched_indices: None,
+            next_window: None,
             policy,
             slots: BTreeMap::new(),
             slot_rng: None,
@@ -309,29 +308,26 @@ impl CompactUniversalUser {
     fn next_candidate(&mut self) -> (usize, BoxedUser) {
         if self.lookahead.is_empty() {
             crate::obs_count!("universal.lookahead.refills", 1u64);
-            let indices: Vec<usize> = match self.prefetched_indices.take() {
+            let indices = match self.next_window.take() {
                 Some(indices) => indices,
-                None => (0..super::finite::lookahead_width())
-                    .map(|_| self.schedule.next().expect("schedules are infinite"))
-                    .collect(),
+                None => self.draw_window(),
             };
             for (&index, candidate) in indices.iter().zip(self.enumerator.batch(&indices)) {
                 let candidate =
                     candidate.expect("schedule yielded an index outside the enumeration");
                 self.lookahead.push_back((index, candidate));
             }
-            if crate::par::prewarm_enabled() {
-                // Pipeline (same as the Levin user): pre-draw the next
-                // window and let idle pool workers prepare it in the
-                // background while this window's candidates run.
-                let next: Vec<usize> = (0..super::finite::lookahead_width())
-                    .map(|_| self.schedule.next().expect("schedules are infinite"))
-                    .collect();
-                self.enumerator.prefetch(&next);
-                self.prefetched_indices = Some(next);
-            }
+            self.next_window = Some(self.draw_window());
         }
         self.lookahead.pop_front().expect("lookahead was just refilled")
+    }
+
+    /// Draws the next [`LOOKAHEAD`](super::finite::LOOKAHEAD) indices from
+    /// the schedule.
+    fn draw_window(&mut self) -> Vec<usize> {
+        (0..super::finite::LOOKAHEAD)
+            .map(|_| self.schedule.next().expect("schedules are infinite"))
+            .collect()
     }
 
     fn switch(&mut self, ctx: &mut StepCtx<'_>) {
@@ -478,7 +474,7 @@ impl UserStrategy for CompactUniversalUser {
         // same pure `batch` call.
         let indices: Vec<usize> = self.lookahead.iter().map(|&(i, _)| i).collect();
         indices.encode(w);
-        self.prefetched_indices.encode(w);
+        self.next_window.encode(w);
         self.slot_rng.encode(w);
         w.u64(self.replayed_rounds);
         w.u64(self.resumed_switches);
@@ -543,12 +539,7 @@ impl UserStrategy for CompactUniversalUser {
                 candidate.ok_or(SnapError::Malformed { context: "compact lookahead index" })?;
             self.lookahead.push_back((index, candidate));
         }
-        self.prefetched_indices = Option::<Vec<usize>>::decode(r)?;
-        if let Some(next) = &self.prefetched_indices {
-            // Re-issue the (advisory, observably inert) construction hint the
-            // saved run had outstanding.
-            self.enumerator.prefetch(next);
-        }
+        self.next_window = Option::<Vec<usize>>::decode(r)?;
         self.slot_rng = Option::<GocRng>::decode(r)?;
         self.replayed_rounds = r.u64("compact replayed rounds")?;
         self.resumed_switches = r.u64("compact resumed switches")?;

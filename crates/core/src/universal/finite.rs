@@ -11,31 +11,12 @@ use crate::view::ViewEvent;
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Default number of schedule slots the universal users pre-materialise per
-/// batch (see [`lookahead_width`]).
-pub(super) const DEFAULT_LOOKAHEAD: usize = 8;
-
 /// How many schedule slots the universal users pre-materialise per batch.
 ///
 /// Candidate construction is pure, so building the next few scheduled
-/// candidates ahead of time is unobservable; it lets enumerators with a
-/// parallel (or lockstep-batched, see `goc_vm::batch`)
-/// [`StrategyEnumerator::batch`] override do so off the critical path.
-/// Results are always adopted in schedule order, so the width only moves
-/// work between refills — the interaction is identical for every setting.
-///
-/// Tunable via `GOC_BATCH_WIDTH` (default 8, clamped to 1..=64; read once
-/// and latched).
-pub(super) fn lookahead_width() -> usize {
-    static WIDTH: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WIDTH.get_or_init(|| {
-        std::env::var("GOC_BATCH_WIDTH")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_LOOKAHEAD)
-            .clamp(1, 64)
-    })
-}
+/// candidates ahead of time is unobservable. Results are always adopted in
+/// schedule order, so the width only moves work between refills.
+pub(super) const LOOKAHEAD: usize = 8;
 
 /// The universal user strategy for **finite** goals (Theorem 1, finite
 /// case).
@@ -109,15 +90,13 @@ pub struct LevinUniversalUser {
     switches: Vec<SwitchRecord>,
     slots_used: u64,
     /// Speculatively pre-built `(index, budget, candidate)` slots, consumed
-    /// strictly in schedule order (see [`lookahead_width`]).
+    /// strictly in schedule order (see [`LOOKAHEAD`]).
     lookahead: VecDeque<(usize, u64, BoxedUser)>,
-    /// The *following* lookahead window, pre-drawn from the schedule at the
-    /// last refill so its indices could be handed to
-    /// [`StrategyEnumerator::prefetch`] (background candidate construction
-    /// on idle pool workers). Drawing early is unobservable — the schedule
-    /// is a pure iterator — and the slots are adopted in the same order at
-    /// the next refill.
-    prefetched_slots: Option<Vec<(usize, u64)>>,
+    /// The *following* lookahead window, drawn from the schedule at the
+    /// last refill and adopted in the same order at the next one. Drawing
+    /// early is unobservable — the schedule is a pure iterator — and it is
+    /// part of the snapshot layout.
+    next_window: Option<Vec<(usize, u64)>>,
 }
 
 impl fmt::Debug for LevinUniversalUser {
@@ -192,7 +171,7 @@ impl LevinUniversalUser {
             switches: Vec::new(),
             slots_used: 0,
             lookahead: VecDeque::new(),
-            prefetched_slots: None,
+            next_window: None,
         };
         let (first, budget, candidate) = user.next_candidate();
         user.current = candidate;
@@ -229,11 +208,9 @@ impl LevinUniversalUser {
     fn next_candidate(&mut self) -> (usize, u64, BoxedUser) {
         if self.lookahead.is_empty() {
             crate::obs_count!("universal.lookahead.refills", 1u64);
-            let slots: Vec<(usize, u64)> = match self.prefetched_slots.take() {
+            let slots = match self.next_window.take() {
                 Some(slots) => slots,
-                None => (0..lookahead_width())
-                    .map(|_| self.schedule.next().expect("budget schedules are infinite"))
-                    .collect(),
+                None => self.draw_window(),
             };
             let indices: Vec<usize> = slots.iter().map(|&(i, _)| i).collect();
             for ((index, budget), candidate) in
@@ -243,19 +220,16 @@ impl LevinUniversalUser {
                     candidate.expect("schedule yielded an index outside the enumeration");
                 self.lookahead.push_back((index, budget, candidate));
             }
-            if crate::par::prewarm_enabled() {
-                // Pipeline: pre-draw the *next* window and hand its indices
-                // to the enumerator, so idle pool workers can prepare those
-                // candidates while this window's candidates run live.
-                let next: Vec<(usize, u64)> = (0..lookahead_width())
-                    .map(|_| self.schedule.next().expect("budget schedules are infinite"))
-                    .collect();
-                let next_indices: Vec<usize> = next.iter().map(|&(i, _)| i).collect();
-                self.enumerator.prefetch(&next_indices);
-                self.prefetched_slots = Some(next);
-            }
+            self.next_window = Some(self.draw_window());
         }
         self.lookahead.pop_front().expect("lookahead was just refilled")
+    }
+
+    /// Draws the next [`LOOKAHEAD`] `(index, budget)` slots from the schedule.
+    fn draw_window(&mut self) -> Vec<(usize, u64)> {
+        (0..LOOKAHEAD)
+            .map(|_| self.schedule.next().expect("budget schedules are infinite"))
+            .collect()
     }
 
     fn switch(&mut self, round: u64) {
@@ -323,7 +297,7 @@ impl UserStrategy for LevinUniversalUser {
         // same pure `batch` call that built them originally.
         let slots: Vec<(usize, u64)> = self.lookahead.iter().map(|&(i, b, _)| (i, b)).collect();
         slots.encode(w);
-        self.prefetched_slots.encode(w);
+        self.next_window.encode(w);
         w.block(|w| self.sensing.save_snap(w))
     }
 
@@ -360,13 +334,7 @@ impl UserStrategy for LevinUniversalUser {
                 candidate.ok_or(SnapError::Malformed { context: "levin lookahead index" })?;
             self.lookahead.push_back((index, budget, candidate));
         }
-        self.prefetched_slots = Option::<Vec<(usize, u64)>>::decode(r)?;
-        if let Some(next) = &self.prefetched_slots {
-            // Re-issue the (advisory, observably inert) construction hint the
-            // saved run had outstanding.
-            let next_indices: Vec<usize> = next.iter().map(|&(i, _)| i).collect();
-            self.enumerator.prefetch(&next_indices);
-        }
+        self.next_window = Option::<Vec<(usize, u64)>>::decode(r)?;
         let mut block = r.block("levin sensing block")?;
         self.sensing.restore_snap(&mut block)?;
         block.finish()

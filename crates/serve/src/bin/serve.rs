@@ -68,8 +68,7 @@ fn main() -> ExitCode {
         let _ = std::io::stdout().flush();
     }
     let stats = handle.wait();
-    // The daemon's own teardown already drained the worker pool; flush
-    // deterministic metric totals for `GOC_TRACE` runs.
+    // Flush deterministic metric totals for `GOC_TRACE` runs.
     goc_core::obs::flush_metrics();
     if stats.errors > 0 && !quiet {
         eprintln!("goc-serve: exited with {} error replies served", stats.errors);

@@ -16,10 +16,8 @@
 //!
 //! A [`Frame::Shutdown`] (or [`DaemonHandle::stop`]) flips the shutdown
 //! flag, wakes the acceptor with a loopback connect, sends every shard a
-//! stop marker, joins the shard threads, and then calls
-//! [`goc_core::par::pool::drain`] so background jobs the executions queued
-//! (prewarm, etc.) complete before the process exits — the lifetime
-//! discipline the detached-worker pool used to lack.
+//! stop marker, and joins the shard threads. Executions queue no background
+//! work, so once the shards are joined nothing is left running.
 
 use crate::chaos::{ChaosSpec, FrameChaos};
 use crate::session::Session;
@@ -256,8 +254,8 @@ impl DaemonHandle {
         trigger_shutdown(&self.shutdown, &self.addr);
     }
 
-    /// Blocks until the daemon has shut down, then drains shards and the
-    /// background worker pool. Returns the final stats.
+    /// Blocks until the daemon has shut down, then joins the shards.
+    /// Returns the final stats.
     pub fn wait(mut self) -> StatsSnapshot {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
@@ -270,10 +268,6 @@ impl DaemonHandle {
         for t in self.shard_threads.drain(..) {
             let _ = t.join();
         }
-        // The lifetime fix this daemon forced: background jobs the
-        // executions queued (prewarm etc.) either finish or are observed
-        // finished before we report done — nothing is lost mid-write.
-        goc_core::par::pool::drain();
         if let Addr::Unix(path) = &self.addr {
             let _ = std::fs::remove_file(path);
         }

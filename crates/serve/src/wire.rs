@@ -106,7 +106,7 @@ pub enum Frame {
     Restore { session: u64, scenario: String, seed: u64, snap: Vec<u8> },
     /// Discard session `session`. Replies with [`Frame::Closed`].
     Close { session: u64 },
-    /// Stop the daemon: drain shards, drain the worker pool, exit.
+    /// Stop the daemon: drain shards, exit.
     Shutdown,
     /// The deterministic per-session outcome triple (plus the round).
     Status { session: u64, round: u64, halted: bool, heard: u64 },

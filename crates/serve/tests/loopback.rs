@@ -274,8 +274,8 @@ fn chaos_faults_compose_onto_the_socket_path() {
     assert!(stats.chaos_dropped > 0, "drop_p 0.25 over {retries} sends never dropped");
 }
 
-/// Teardown discipline: `wait` completes (shards joined, worker pool
-/// drained) even when sessions are left open, and an externally triggered
+/// Teardown discipline: `wait` completes (shards joined) even when
+/// sessions are left open, and an externally triggered
 /// `stop` is equivalent to a client `Shutdown`.
 #[test]
 fn teardown_drains_with_sessions_left_open() {

@@ -70,10 +70,6 @@ pub struct BenchRecord {
     /// (minimum over probe passes — the steady-state footprint), when built
     /// with `count-allocs`. See [`crate::alloc_count::peak_bytes`].
     pub peak_bytes: Option<u64>,
-    /// Prewarm mispredictions during a representative run (JSONL key
-    /// `prewarm.mispredict`): live second rounds whose inbox none of the
-    /// speculated continuations matched.
-    pub mispredicts: Option<u64>,
     /// Interpreter core the bench ran on (JSONL key `dispatch.mode`):
     /// `"table"` or `"match"`.
     pub dispatch: Option<String>,
@@ -112,9 +108,6 @@ impl BenchRecord {
         }
         if let Some(p) = self.peak_bytes {
             let _ = write!(s, ",\"peak_bytes\":{p}");
-        }
-        if let Some(m) = self.mispredicts {
-            let _ = write!(s, ",\"prewarm.mispredict\":{m}");
         }
         if let Some(d) = &self.dispatch {
             let _ = write!(s, ",\"dispatch.mode\":{}", json_string(d));
@@ -165,7 +158,6 @@ impl BenchRecord {
             cache_misses: get_n("cache_misses"),
             allocs: get_n("allocs"),
             peak_bytes: get_n("peak_bytes"),
-            mispredicts: get_n("prewarm.mispredict"),
             dispatch: get_s("dispatch.mode"),
         })
     }
@@ -330,8 +322,6 @@ pub struct BenchMeta {
     /// Explicit peak-bytes override. When `None` and `count-allocs` is on,
     /// the harness measures it alongside the allocation probe.
     pub peak_bytes: Option<u64>,
-    /// Prewarm mispredictions during a representative run.
-    pub mispredicts: Option<u64>,
     /// Interpreter core label (`"table"` / `"match"`). `&'static str` so the
     /// meta stays `Copy`.
     pub dispatch: Option<&'static str>,
@@ -481,7 +471,6 @@ impl Bench {
             cache_misses: meta.cache_misses,
             allocs,
             peak_bytes,
-            mispredicts: meta.mispredicts,
             dispatch: meta.dispatch.map(str::to_string),
         };
         let mut line = format!(
@@ -511,9 +500,6 @@ impl Bench {
         }
         if let Some(d) = &rec.dispatch {
             let _ = write!(line, "  [dispatch={d}]");
-        }
-        if let Some(m) = rec.mispredicts {
-            let _ = write!(line, "  [mispred {m}]");
         }
         println!("{line}");
         let json = rec.to_json_line();
@@ -594,7 +580,6 @@ mod tests {
             cache_misses: None,
             allocs: None,
             peak_bytes: None,
-            mispredicts: None,
             dispatch: None,
         }
     }
@@ -692,15 +677,23 @@ mod tests {
     }
 
     #[test]
-    fn json_line_roundtrips_with_dispatch_and_mispredicts() {
+    fn json_line_roundtrips_with_dispatch() {
         let mut rec = sample_record();
-        rec.mispredicts = Some(7);
         rec.dispatch = Some("table".into());
         let line = rec.to_json_line();
-        assert!(line.contains("\"prewarm.mispredict\":7"));
         assert!(line.contains("\"dispatch.mode\":\"table\""));
         let parsed = BenchRecord::parse_json_line(&line).expect("parses");
         assert_eq!(parsed, rec);
+    }
+
+    #[test]
+    fn retired_keys_in_old_snapshots_are_ignored() {
+        // Older BENCH_*.json lines carry `prewarm.mispredict`; they must
+        // still parse, to the same record as the line without the key.
+        let rec = sample_record();
+        let line = rec.to_json_line();
+        let old = format!("{},\"prewarm.mispredict\":0}}", &line[..line.len() - 1]);
+        assert_eq!(BenchRecord::parse_json_line(&old), Some(rec));
     }
 
     #[test]

@@ -4,17 +4,12 @@
 //! server program); **B** is the world. The same program text can therefore
 //! be mounted in either role.
 
-use crate::arena;
-use crate::batch::{self, BatchVm};
 use crate::cache::{self, CachedRound, RoundKey};
-use crate::instr::REG_COUNT;
-use crate::machine::{DecodedProgram, Machine, RoundIo};
-use crate::predict;
+use crate::machine::{Machine, RoundIo};
 use crate::program::Program;
 use goc_core::msg::{Message, ServerIn, ServerOut, UserIn, UserOut};
 use goc_core::snap::{SnapError, SnapReader, SnapWriter};
 use goc_core::strategy::{Halt, ServerStrategy, StepCtx, UserStrategy};
-use std::sync::Arc;
 
 /// A user strategy interpreting a VM [`Program`].
 ///
@@ -52,19 +47,8 @@ pub struct VmUser {
     halted_view: Option<Vec<u8>>,
     /// Reusable round buffers: one `RoundIo` lives as long as the candidate,
     /// so steady-state rounds reuse its allocations instead of building
-    /// fresh `Vec`s. Arena-backed under batch mode (recycled on drop).
+    /// fresh `Vec`s.
     io: RoundIo,
-    /// The program's jump-table decode, shared across rounds (and, when the
-    /// enumerator spawned this candidate in a batch, across every candidate
-    /// of the generation running the same program text). `None` until batch
-    /// mode first needs it.
-    decoded: Option<Arc<DecodedProgram>>,
-    /// Cached rounds stepped so far — drives first-round signature capture
-    /// for the [`predict`] continuation predictor. Telemetry, not semantics:
-    /// not serialized in snapshots.
-    rounds_seen: u32,
-    /// [`predict::signature`] of the round-0 outputs, once round 0 ran.
-    first_sig: Option<u64>,
 }
 
 impl VmUser {
@@ -80,7 +64,6 @@ impl VmUser {
     /// Panics if `fuel == 0`.
     pub fn with_fuel(program: Program, fuel: u32) -> Self {
         let program_hash = cache::program_hash(program.as_bytes());
-        let io = if batch::enabled() { arena::take_io() } else { RoundIo::default() };
         VmUser {
             machine: Machine::with_fuel(program, fuel),
             use_cache: cache::enabled_by_env(),
@@ -88,10 +71,7 @@ impl VmUser {
             prefix_hash: cache::PREFIX_EMPTY,
             pending_replay: Vec::new(),
             halted_view: None,
-            io,
-            decoded: None,
-            rounds_seen: 0,
-            first_sig: None,
+            io: RoundIo::default(),
         }
     }
 
@@ -123,59 +103,28 @@ impl VmUser {
         }
     }
 
-    /// One machine round on `self.io` through the active interpreter:
-    /// jump-table dispatch via the (possibly generation-shared) decode under
-    /// batch mode, the plain scalar loop otherwise. The two are observably
-    /// identical — outputs, registers, halt payload, retired count.
-    fn run_round(&mut self) {
-        if batch::enabled() {
-            if self.decoded.is_none() {
-                self.decoded = Some(Arc::new(DecodedProgram::new(self.machine.program())));
-            }
-            let decoded = self.decoded.as_deref().expect("just populated");
-            self.machine.round_decoded(decoded, &mut self.io);
-        } else {
-            self.machine.round(&mut self.io);
-        }
-    }
-
     /// Executes one round through the cache: hash the inbox into the prefix,
     /// serve a memoised round if one exists, otherwise replay any skipped
     /// rounds and run this one for real, recording it.
-    ///
-    /// Also feeds the [`predict`] continuation predictor: round 0's outputs
-    /// define the candidate's first-output class, and round 1's inbox is the
-    /// class's observed continuation (scored against the top-K prediction,
-    /// counting `vm.prewarm.mispredict`).
     fn cached_round(&mut self, in_a: &[u8], in_b: &[u8]) -> (Vec<u8>, Vec<u8>) {
         if self.halted_view.is_some() {
             // A halted machine is inert; don't grow the prefix or the cache.
             return (Vec::new(), Vec::new());
         }
-        if self.rounds_seen == 1 {
-            if let Some(sig) = self.first_sig {
-                predict::record_outcome(sig, in_a, in_b);
-            }
-        }
         self.prefix_hash = cache::extend_prefix(self.prefix_hash, in_a, in_b);
         let key = self.round_key();
         let program = self.machine.program().as_bytes();
-        let result = if let Some(hit) = cache::lookup(&key, program) {
-            self.pending_replay.push((to_owned_bytes(in_a), to_owned_bytes(in_b)));
+        if let Some(hit) = cache::lookup(&key, program) {
+            self.pending_replay.push((in_a.to_vec(), in_b.to_vec()));
             self.halted_view = hit.halted;
             (hit.out_a, hit.out_b)
         } else {
-            let replay = std::mem::take(&mut self.pending_replay);
-            for (a, b) in replay {
+            for (a, b) in std::mem::take(&mut self.pending_replay) {
                 self.io.set_inputs(&a, &b);
-                self.run_round();
-                if batch::enabled() {
-                    arena::put_bytes(a);
-                    arena::put_bytes(b);
-                }
+                self.machine.round(&mut self.io);
             }
             self.io.set_inputs(in_a, in_b);
-            self.run_round();
+            self.machine.round(&mut self.io);
             let halted = self.machine.halted().map(<[u8]>::to_vec);
             cache::insert(
                 key,
@@ -188,413 +137,7 @@ impl VmUser {
             );
             self.halted_view = halted;
             (self.io.out_a.clone(), self.io.out_b.clone())
-        };
-        if self.rounds_seen == 0 {
-            self.first_sig = Some(predict::signature(&result.0, &result.1));
         }
-        self.rounds_seen = self.rounds_seen.saturating_add(1);
-        result
-    }
-}
-
-/// Copies `src` into an owned buffer, arena-backed under batch mode.
-fn to_owned_bytes(src: &[u8]) -> Vec<u8> {
-    if batch::enabled() {
-        let mut v = arena::take_bytes(src.len());
-        v.extend_from_slice(src);
-        v
-    } else {
-        src.to_vec()
-    }
-}
-
-impl Drop for VmUser {
-    /// Elimination recycles the candidate's buffers into the
-    /// [`arena`](crate::arena) under batch mode: its `RoundIo`, any pending
-    /// replay inboxes, and the program bytes themselves. Safe with the
-    /// candidate cache because cache entries pin their own program copies
-    /// (see `arena` module docs and DESIGN.md §11).
-    fn drop(&mut self) {
-        if !batch::enabled() {
-            return;
-        }
-        arena::recycle_io(&mut self.io);
-        for (a, b) in self.pending_replay.drain(..) {
-            arena::put_bytes(a);
-            arena::put_bytes(b);
-        }
-        let machine =
-            std::mem::replace(&mut self.machine, Machine::with_fuel(Program::default(), 1));
-        arena::put_bytes(machine.into_program().into_bytes());
-    }
-}
-
-/// Batch-prepares a freshly spawned candidate generation: every candidate
-/// gets the generation's shared [`DecodedProgram`] for its program text, and
-/// the first (empty-inbox) round of each cache-enabled candidate is executed
-/// through one [`BatchVm`] lockstep round, recorded in the **same**
-/// [`cache`](crate::cache) entries the scalar path populates and consults.
-/// Candidates whose first round is already memoised are not re-run.
-///
-/// Value-identical to letting each candidate run that round itself (the VM
-/// is a deterministic transducer), so traces and reports are unaffected.
-pub fn prewarm_batch<'a>(users: impl IntoIterator<Item = &'a mut VmUser>) {
-    let mut users: Vec<&'a mut VmUser> = users.into_iter().collect();
-    let mut decodes: Vec<Arc<DecodedProgram>> = Vec::new();
-    for u in users.iter_mut() {
-        let code = u.machine.program().as_bytes();
-        let shared = match decodes.iter().find(|d| d.code() == code) {
-            Some(d) => Arc::clone(d),
-            None => {
-                let d = Arc::new(DecodedProgram::new(u.machine.program()));
-                decodes.push(Arc::clone(&d));
-                d
-            }
-        };
-        u.decoded = Some(shared);
-    }
-    let first_prefix = cache::extend_prefix(cache::PREFIX_EMPTY, &[], &[]);
-    let mut vm = BatchVm::new();
-    let mut lanes: Vec<usize> = Vec::new();
-    for (i, u) in users.iter().enumerate() {
-        if !u.use_cache {
-            continue;
-        }
-        let key = RoundKey {
-            program_hash: u.program_hash,
-            fuel: u.machine.fuel_per_round(),
-            prefix_hash: first_prefix,
-        };
-        if cache::lookup(&key, u.machine.program().as_bytes()).is_none() {
-            vm.push_decoded(
-                Arc::clone(u.decoded.as_ref().expect("assigned above")),
-                u.machine.fuel_per_round(),
-            );
-            lanes.push(i);
-        }
-    }
-    if lanes.is_empty() {
-        return;
-    }
-    let mut ios: Vec<RoundIo> = lanes.iter().map(|_| arena::take_io()).collect();
-    vm.round(&mut ios);
-    for (k, &i) in lanes.iter().enumerate() {
-        let u = &users[i];
-        let key = RoundKey {
-            program_hash: u.program_hash,
-            fuel: u.machine.fuel_per_round(),
-            prefix_hash: first_prefix,
-        };
-        cache::insert(
-            key,
-            u.machine.program().as_bytes(),
-            CachedRound {
-                out_a: ios[k].out_a.clone(),
-                out_b: ios[k].out_b.clone(),
-                halted: vm.halted(k).map(<[u8]>::to_vec),
-            },
-        );
-        arena::recycle_io(&mut ios[k]);
-    }
-}
-
-/// Per-candidate speculative depth of [`prewarm_deep`]: `GOC_PREWARM_DEPTH`
-/// (clamped to 1..=64, read once and latched), default 16 rounds.
-pub fn prewarm_depth() -> usize {
-    use std::sync::OnceLock;
-    static DEPTH: OnceLock<usize> = OnceLock::new();
-    *DEPTH.get_or_init(|| {
-        std::env::var("GOC_PREWARM_DEPTH")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|d| d.clamp(1, 64))
-            .unwrap_or(16)
-    })
-}
-
-/// The background (pipelined) variant of [`prewarm_batch`]: shares decodes
-/// the same way, then speculatively runs every cache-enabled candidate up to
-/// `depth` rounds of [`BatchVm`] lockstep under the **empty-inbox**
-/// assumption, memoising each round along the growing empty-prefix key
-/// chain (stopping a lane at its halt).
-///
-/// Why this is sound: the cache key is a pure function of `(program bytes,
-/// fuel, inbox history)`, so an entry recorded here for the history
-/// "`k` empty rounds" is value-identical to what the candidate would record
-/// for itself — and a live round whose inbox turns out *non*-empty hashes to
-/// a different key and simply misses. Speculation can therefore never serve
-/// a wrong round; it only moves fuel burn off the critical path. The
-/// empty-inbox guess is the profitable one: wrong candidates in a universal
-/// search mostly talk into a silent world, so their entire budget slice
-/// becomes cache hits.
-///
-/// Running lanes in lockstep against a *known* all-empty input stream also
-/// buys an optimisation the live path cannot have: **fixed-point fill**. A
-/// lane's whole inter-round state is its register file (the pc restarts at 0
-/// every round), so if a round leaves the registers exactly unchanged, every
-/// further empty-input round is a verbatim replay of that round. The
-/// executor then parks the lane and fills the rest of its chain by copying
-/// the round's entry — the fuel-burning decoys a universal search wades
-/// through are precisely such loops, and each costs one executed round
-/// instead of `depth`.
-///
-/// After the empty chain, a second pass speculates the top-K **predicted**
-/// non-empty continuations of each candidate's first round (see
-/// [`predict`]), covering echoing candidates whose later rounds depend on
-/// the peer's reply. Same soundness argument — predictions only choose which
-/// value-identical entries get built.
-pub fn prewarm_deep<'a>(users: impl IntoIterator<Item = &'a mut VmUser>, depth: usize) {
-    let mut users: Vec<&'a mut VmUser> = users.into_iter().collect();
-    let mut decodes: Vec<Arc<DecodedProgram>> = Vec::new();
-    for u in users.iter_mut() {
-        let code = u.machine.program().as_bytes();
-        let shared = match decodes.iter().find(|d| d.code() == code) {
-            Some(d) => Arc::clone(d),
-            None => {
-                let d = Arc::new(DecodedProgram::new(u.machine.program()));
-                decodes.push(Arc::clone(&d));
-                d
-            }
-        };
-        u.decoded = Some(shared);
-    }
-    let depth = depth.max(1);
-    let mut vm = BatchVm::new();
-    let mut lanes: Vec<usize> = Vec::new();
-    for (i, u) in users.iter().enumerate() {
-        if !u.use_cache {
-            continue;
-        }
-        // Skip lanes whose empty-prefix chain is already fully memoised
-        // (up to `depth`, or up to a recorded halt) — the chain's keys are
-        // computable without execution, so this costs only hash lookups.
-        let mut prefix = cache::PREFIX_EMPTY;
-        let mut warmed = true;
-        for _ in 0..depth {
-            prefix = cache::extend_prefix(prefix, &[], &[]);
-            let key = RoundKey {
-                program_hash: u.program_hash,
-                fuel: u.machine.fuel_per_round(),
-                prefix_hash: prefix,
-            };
-            match cache::lookup(&key, u.machine.program().as_bytes()) {
-                Some(hit) if hit.halted.is_some() => break,
-                Some(_) => {}
-                None => {
-                    warmed = false;
-                    break;
-                }
-            }
-        }
-        if warmed {
-            continue;
-        }
-        vm.push_decoded(
-            Arc::clone(u.decoded.as_ref().expect("assigned above")),
-            u.machine.fuel_per_round(),
-        );
-        lanes.push(i);
-    }
-    if lanes.is_empty() {
-        return;
-    }
-    let mut ios: Vec<RoundIo> = lanes.iter().map(|_| arena::take_io()).collect();
-    let mut prefix = cache::PREFIX_EMPTY;
-    let mut done: Vec<bool> = vec![false; lanes.len()];
-    // Register snapshots from before the current round, for fixed-point
-    // detection (freshly pushed lanes start all-zero, like the scalar
-    // machine).
-    let mut prev_regs: Vec<[u64; REG_COUNT]> = (0..lanes.len()).map(|k| vm.regs(k)).collect();
-    for r in 0..depth {
-        prefix = cache::extend_prefix(prefix, &[], &[]);
-        for io in ios.iter_mut() {
-            io.set_inputs(&[], &[]);
-        }
-        // BatchVm skips halted and parked lanes internally; their outboxes
-        // stay empty, matching the scalar machine.
-        vm.round(&mut ios);
-        goc_core::obs_count_nd!(
-            "vm.prewarm.rounds",
-            done.iter().filter(|&&d| !d).count() as u64
-        );
-        let mut all_done = true;
-        for (k, &i) in lanes.iter().enumerate() {
-            if done[k] {
-                continue;
-            }
-            let u = &users[i];
-            let fuel = u.machine.fuel_per_round();
-            let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: prefix };
-            let halted = vm.halted(k).map(<[u8]>::to_vec);
-            let is_halt = halted.is_some();
-            let round_entry =
-                CachedRound { out_a: ios[k].out_a.clone(), out_b: ios[k].out_b.clone(), halted };
-            cache::insert(key, u.machine.program().as_bytes(), round_entry.clone());
-            if is_halt {
-                done[k] = true;
-            } else if vm.regs(k) == prev_regs[k] {
-                // Fixed point: the round left the registers untouched, so
-                // every remaining empty-input round replays it verbatim —
-                // copy its entry down the rest of the chain and stop
-                // burning this lane's fuel.
-                goc_core::obs_count_nd!("vm.prewarm.fixedpoint", 1u64);
-                let mut p = prefix;
-                for _ in r + 1..depth {
-                    p = cache::extend_prefix(p, &[], &[]);
-                    let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: p };
-                    cache::insert(key, u.machine.program().as_bytes(), round_entry.clone());
-                }
-                vm.park(k);
-                done[k] = true;
-            } else {
-                prev_regs[k] = vm.regs(k);
-                all_done = false;
-            }
-        }
-        if all_done {
-            break;
-        }
-    }
-    for io in ios.iter_mut() {
-        arena::recycle_io(io);
-    }
-    speculate_predicted(&users, depth);
-}
-
-/// Cap on predicted-prefix chains per [`prewarm_deep`] call, bounding the
-/// wasted work a fully mispredicting class table can cause.
-const MAX_SPECULATED_CHAINS: usize = 256;
-
-/// The predicted-prefix pass of [`prewarm_deep`]: for each cache-enabled
-/// candidate whose (already memoised) first round produced a first-output
-/// class with recorded continuations, speculate the class's top-K
-/// continuations as **stationary** inboxes for rounds `1..depth`, memoising
-/// the corresponding prefix chains. Each chain replays round 0 from a fresh
-/// lane (registers start all-zero, like the scalar machine) against the
-/// empty inbox — whose entry is already cached, so nothing new is inserted —
-/// and then diverges into its predicted inbox.
-///
-/// The stationary-inbox assumption mirrors the empty chain's: universal
-/// search opponents are themselves deterministic transducers, so a peer that
-/// answered `x` once tends to keep answering `x`. A wrong guess misses its
-/// keys and costs nothing at serve time; fixed-point fill applies from round
-/// 1 on because the speculated input stream is constant.
-fn speculate_predicted(users: &[&mut VmUser], depth: usize) {
-    let top_k = predict::top_k();
-    if top_k == 0 || depth < 2 {
-        return;
-    }
-    let first_prefix = cache::extend_prefix(cache::PREFIX_EMPTY, &[], &[]);
-    let mut vm = BatchVm::new();
-    // Per-chain (user index, predicted stationary inbox).
-    let mut specs: Vec<(usize, Vec<u8>, Vec<u8>)> = Vec::new();
-    'users: for (i, u) in users.iter().enumerate() {
-        if !u.use_cache {
-            continue;
-        }
-        let program = u.machine.program().as_bytes();
-        let fuel = u.machine.fuel_per_round();
-        let key0 = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: first_prefix };
-        let Some(first) = cache::lookup(&key0, program) else { continue };
-        if first.halted.is_some() {
-            continue;
-        }
-        let sig = predict::signature(&first.out_a, &first.out_b);
-        for (pa, pb) in predict::predict(sig, top_k) {
-            if pa.is_empty() && pb.is_empty() {
-                continue; // the empty chain is speculated unconditionally
-            }
-            // Skip chains already fully memoised (or memoised to a halt) —
-            // keys are computable without execution.
-            let mut prefix = first_prefix;
-            let mut warmed = true;
-            for _ in 1..depth {
-                prefix = cache::extend_prefix(prefix, &pa, &pb);
-                let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: prefix };
-                match cache::lookup(&key, program) {
-                    Some(hit) if hit.halted.is_some() => break,
-                    Some(_) => {}
-                    None => {
-                        warmed = false;
-                        break;
-                    }
-                }
-            }
-            if warmed {
-                continue;
-            }
-            vm.push_decoded(Arc::clone(u.decoded.as_ref().expect("assigned above")), fuel);
-            specs.push((i, pa, pb));
-            if specs.len() >= MAX_SPECULATED_CHAINS {
-                break 'users;
-            }
-        }
-    }
-    if specs.is_empty() {
-        return;
-    }
-    goc_core::obs_count_nd!("vm.prewarm.spec_chains", specs.len() as u64);
-    predict::note_speculated(specs.len() as u64);
-    let mut ios: Vec<RoundIo> = specs.iter().map(|_| arena::take_io()).collect();
-    // Round 0: the empty inbox, rebuilding each lane's register state. Its
-    // entry is already cached (that's how the class signature was found).
-    for io in ios.iter_mut() {
-        io.set_inputs(&[], &[]);
-    }
-    vm.round(&mut ios);
-    let mut done: Vec<bool> = vec![false; specs.len()];
-    let mut prefixes: Vec<u128> = vec![first_prefix; specs.len()];
-    let mut prev_regs: Vec<[u64; REG_COUNT]> = (0..specs.len()).map(|k| vm.regs(k)).collect();
-    for r in 1..depth {
-        let mut live = 0u64;
-        for (k, (_, pa, pb)) in specs.iter().enumerate() {
-            if !done[k] {
-                ios[k].set_inputs(pa, pb);
-                live += 1;
-            } else {
-                ios[k].reset();
-            }
-        }
-        if live == 0 {
-            break;
-        }
-        vm.round(&mut ios);
-        goc_core::obs_count_nd!("vm.prewarm.spec_rounds", live);
-        for (k, &(i, ref pa, ref pb)) in specs.iter().enumerate() {
-            if done[k] {
-                continue;
-            }
-            let u = &users[i];
-            let fuel = u.machine.fuel_per_round();
-            prefixes[k] = cache::extend_prefix(prefixes[k], pa, pb);
-            let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: prefixes[k] };
-            let halted = vm.halted(k).map(<[u8]>::to_vec);
-            let is_halt = halted.is_some();
-            let round_entry =
-                CachedRound { out_a: ios[k].out_a.clone(), out_b: ios[k].out_b.clone(), halted };
-            cache::insert(key, u.machine.program().as_bytes(), round_entry.clone());
-            if is_halt {
-                done[k] = true;
-            } else if vm.regs(k) == prev_regs[k] {
-                // Fixed point under a stationary inbox: every remaining
-                // round replays this one verbatim (same registers, same
-                // inputs) — fill the rest of the chain and park the lane.
-                goc_core::obs_count_nd!("vm.prewarm.fixedpoint", 1u64);
-                let mut p = prefixes[k];
-                for _ in r + 1..depth {
-                    p = cache::extend_prefix(p, pa, pb);
-                    let key = RoundKey { program_hash: u.program_hash, fuel, prefix_hash: p };
-                    cache::insert(key, u.machine.program().as_bytes(), round_entry.clone());
-                }
-                vm.park(k);
-                done[k] = true;
-            } else {
-                prev_regs[k] = vm.regs(k);
-            }
-        }
-    }
-    for io in ios.iter_mut() {
-        arena::recycle_io(io);
     }
 }
 
@@ -606,7 +149,7 @@ impl UserStrategy for VmUser {
             UserOut { to_server: Message::from_bytes(out_a), to_world: Message::from_bytes(out_b) }
         } else {
             self.io.set_inputs(input.from_server.as_bytes(), input.from_world.as_bytes());
-            self.run_round();
+            self.machine.round(&mut self.io);
             UserOut {
                 to_server: Message::from_bytes(&self.io.out_a),
                 to_world: Message::from_bytes(&self.io.out_b),
@@ -678,9 +221,6 @@ impl UserStrategy for VmUser {
             1 => Some(r.bytes("vm-user halt output")?.to_vec()),
             found => return Err(SnapError::BadTag { context: "vm-user halt tag", found }),
         };
-        // The decode table is a pure function of the program bytes; drop any
-        // stale pin and let the next round rebuild (or re-share) it.
-        self.decoded = None;
         Ok(())
     }
 }

@@ -1,427 +1,6 @@
-//! The lockstep batch interpreter: N candidate machines, one shared decode.
-//!
-//! Universal search evaluates *batches* of candidate programs against the
-//! same interaction prefix (the lookahead batches of
-//! `CompactUniversalUser` / `LevinUniversalUser`). [`BatchVm`] steps all of
-//! them through one round in lockstep with struct-of-arrays lane state —
-//! registers, fuel, halt payloads, and retired counts live in flat arrays —
-//! and a single [`DecodedProgram`] per *distinct* program text, so the
-//! decode cost of a batch is paid once per program, not once per lane per
-//! instruction.
-//!
-//! **Divergence masks.** Lanes leave the round at different times (a `halt`,
-//! an `end`, running off the code end, or fuel exhaustion). The dispatch
-//! loop never branches on per-lane liveness: it iterates an *active-lane
-//! index list* and `swap_remove`s a lane the moment it diverges, so the hot
-//! loop only ever touches live lanes. A lane that drops out while others
-//! are still running is counted in the `vm.batch.divergence` counter;
-//! `vm.batch.width` accumulates the lanes entering each batch round. Both
-//! are [`Scope::Process`](goc_core::obs::Scope) — batching is a wall-clock
-//! strategy, so its telemetry must stay out of the deterministic trace.
-//!
-//! **Gate.** `GOC_BATCH` (default on; `=0` selects the exact scalar path
-//! everywhere) is latched once per process; [`with_batch`] overrides it per
-//! thread for tests and apples-to-apples benchmarks. Batch and scalar
-//! interpretation are observably identical — byte-identical outboxes, halt
-//! payloads, registers, and retired counts — which
-//! `crates/vm/tests/batch_equivalence.rs` checks property-style.
+//! Kept only for perfbench; remove in the next benchmark PR.
 
-use crate::instr::REG_COUNT;
-use crate::machine::{DecodedProgram, RegLane, RoundIo, StepLane, StepOutcome};
-use crate::program::Program;
-use std::cell::Cell;
-use std::sync::Arc;
-use std::sync::OnceLock;
-
-thread_local! {
-    static BATCH_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-fn env_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("GOC_BATCH").map(|v| v != "0").unwrap_or(true))
-}
-
-/// Whether batch interpretation (and the candidate arena) is on: a
-/// thread-local [`with_batch`] override if present, else the `GOC_BATCH`
-/// environment latch (default **on**; `GOC_BATCH=0` is the exact scalar
-/// path). Like `GOC_VM_CACHE`, the variable is read once and latched.
-pub fn enabled() -> bool {
-    BATCH_OVERRIDE.with(|c| c.get()).unwrap_or_else(env_enabled)
-}
-
-/// Runs `f` with batch interpretation forced on/off on this thread,
-/// restoring the previous state afterwards (also on panic). This is the
-/// race-free way for tests and benches to compare both paths in one
-/// process; the environment latch is immutable after first read.
-pub fn with_batch<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            BATCH_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(BATCH_OVERRIDE.with(|c| c.replace(Some(enabled))));
+/// Kept only for perfbench; remove in the next benchmark PR. Runs `f`.
+pub fn with_batch<R>(_enabled: bool, f: impl FnOnce() -> R) -> R {
     f()
-}
-
-/// N machines stepped through rounds in lockstep (see module docs).
-///
-/// Lane state is struct-of-arrays: registers live in `RegColumns` —
-/// per-register columns, so a lockstep opcode touching register `r` across
-/// lanes walks contiguous memory — fuel/halt/retired are parallel vectors,
-/// and `lane_decoded` maps each lane to its shared [`DecodedProgram`].
-///
-/// # Examples
-///
-/// ```
-/// use goc_vm::batch::BatchVm;
-/// use goc_vm::program::Program;
-/// use goc_vm::machine::RoundIo;
-///
-/// let mut vm = BatchVm::new();
-/// // Two lanes, same program text: one shared decode.
-/// let say = Program::from_bytes(vec![0x01, b'x']);
-/// vm.push(&say, 256);
-/// vm.push(&say, 256);
-/// let mut ios = vec![RoundIo::default(), RoundIo::default()];
-/// vm.round(&mut ios);
-/// assert_eq!(ios[0].out_a, b"x");
-/// assert_eq!(ios[1].out_a, b"x");
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct BatchVm {
-    /// Distinct decoded programs; lanes index into this.
-    decoded: Vec<Arc<DecodedProgram>>,
-    /// Lane → index into `decoded`.
-    lane_decoded: Vec<u32>,
-    /// Per-lane per-round fuel budgets.
-    fuel: Vec<u32>,
-    /// Struct-of-arrays register file: one column per register.
-    regs: RegColumns,
-    /// Per-lane halt payloads (`Some` once a lane executed `halt`).
-    halted: Vec<Option<Vec<u8>>>,
-    /// Per-lane lifetime retired-instruction counts.
-    retired: Vec<u64>,
-    /// Per-lane parked flags; a parked lane is skipped by [`round`](Self::round).
-    parked: Vec<bool>,
-}
-
-/// The struct-of-arrays register file: register `r` of lane `l` lives at
-/// `slots[r * stride + l]`, so lockstep execution of one opcode across lanes
-/// touches one contiguous run per register column instead of
-/// `REG_COUNT`-strided scalars. The backing buffer is recycled through the
-/// candidate arena (`arena::take_reg_slots` / `put_reg_slots`) so batch
-/// growth during enumeration doesn't churn the allocator.
-#[derive(Clone, Debug, Default)]
-struct RegColumns {
-    slots: Vec<u64>,
-    /// Column stride == lane capacity (`>= lanes`).
-    stride: usize,
-    /// Lanes in use.
-    lanes: usize,
-}
-
-impl RegColumns {
-    const MIN_STRIDE: usize = 8;
-
-    /// Adds a zeroed lane, growing the columns when capacity is exhausted,
-    /// and returns its index.
-    fn push_lane(&mut self) -> usize {
-        if self.lanes == self.stride {
-            self.grow();
-        }
-        let lane = self.lanes;
-        for r in 0..REG_COUNT {
-            self.slots[r * self.stride + lane] = 0;
-        }
-        self.lanes += 1;
-        lane
-    }
-
-    /// Doubles the lane capacity, re-laying existing columns into a fresh
-    /// (arena-recycled) buffer.
-    fn grow(&mut self) {
-        let new_stride = (self.stride * 2).max(Self::MIN_STRIDE);
-        let mut slots = crate::arena::take_reg_slots(REG_COUNT * new_stride);
-        for r in 0..REG_COUNT {
-            let src = &self.slots[r * self.stride..r * self.stride + self.lanes];
-            slots[r * new_stride..r * new_stride + self.lanes].copy_from_slice(src);
-        }
-        let old = std::mem::replace(&mut self.slots, slots);
-        crate::arena::put_reg_slots(old);
-        self.stride = new_stride;
-    }
-
-    /// A mutable [`RegLane`] view of one lane — the batch twin of the scalar
-    /// machine's register array, dispatched through the same handlers.
-    #[inline(always)]
-    fn lane_view(&mut self, lane: usize) -> RegLane<'_> {
-        RegLane::strided(&mut self.slots, self.stride, lane)
-    }
-
-    /// Gathers one lane's registers out of the columns.
-    fn snapshot(&self, lane: usize) -> [u64; REG_COUNT] {
-        let mut out = [0u64; REG_COUNT];
-        for (r, slot) in out.iter_mut().enumerate() {
-            *slot = self.slots[r * self.stride + lane];
-        }
-        out
-    }
-}
-
-impl Drop for RegColumns {
-    fn drop(&mut self) {
-        crate::arena::put_reg_slots(std::mem::take(&mut self.slots));
-    }
-}
-
-impl BatchVm {
-    /// An empty batch.
-    pub fn new() -> Self {
-        BatchVm::default()
-    }
-
-    /// Adds a lane running `program` with `fuel` per round, returning its
-    /// lane index. Lanes with byte-identical programs share one decode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fuel == 0` (same contract as [`Machine::with_fuel`]).
-    ///
-    /// [`Machine::with_fuel`]: crate::machine::Machine::with_fuel
-    pub fn push(&mut self, program: &Program, fuel: u32) -> usize {
-        match self.decoded.iter().position(|d| d.code() == program.as_bytes()) {
-            Some(i) => self.push_lane(i, fuel),
-            None => {
-                self.decoded.push(Arc::new(DecodedProgram::new(program)));
-                self.push_lane(self.decoded.len() - 1, fuel)
-            }
-        }
-    }
-
-    /// [`push`](Self::push) with an already-shared decode (cheap: no
-    /// re-decode, byte compare only against already-registered decodes).
-    pub fn push_decoded(&mut self, decoded: Arc<DecodedProgram>, fuel: u32) -> usize {
-        match self.decoded.iter().position(|d| Arc::ptr_eq(d, &decoded)) {
-            Some(i) => self.push_lane(i, fuel),
-            None => {
-                self.decoded.push(decoded);
-                self.push_lane(self.decoded.len() - 1, fuel)
-            }
-        }
-    }
-
-    fn push_lane(&mut self, decoded_index: usize, fuel: u32) -> usize {
-        assert!(fuel > 0, "BatchVm lanes require positive fuel");
-        self.lane_decoded.push(decoded_index as u32);
-        self.fuel.push(fuel);
-        self.regs.push_lane();
-        self.halted.push(None);
-        self.retired.push(0);
-        self.parked.push(false);
-        self.lane_decoded.len() - 1
-    }
-
-    /// Number of lanes.
-    pub fn width(&self) -> usize {
-        self.lane_decoded.len()
-    }
-
-    /// The shared decode of `lane`'s program (cheap `Arc` clone) — hand it
-    /// to the lane's scalar [`Machine`](crate::machine::Machine) twin so
-    /// both dispatch from the same table.
-    pub fn share_decoded(&self, lane: usize) -> Arc<DecodedProgram> {
-        self.decoded[self.lane_decoded[lane] as usize].clone()
-    }
-
-    /// A copy of `lane`'s registers, gathered from the per-register columns.
-    pub fn regs(&self, lane: usize) -> [u64; REG_COUNT] {
-        self.regs.snapshot(lane)
-    }
-
-    /// `lane`'s halt payload, if it has halted.
-    pub fn halted(&self, lane: usize) -> Option<&[u8]> {
-        self.halted[lane].as_deref()
-    }
-
-    /// `lane`'s lifetime retired-instruction count.
-    pub fn instructions_retired(&self, lane: usize) -> u64 {
-        self.retired[lane]
-    }
-
-    /// Parks `lane`: subsequent [`round`](Self::round) calls skip it (its
-    /// outboxes stay empty and its state freezes). For callers that have
-    /// established a lane's future rounds by other means — e.g. the prewarm
-    /// executor once a lane reaches a state fixed point — and don't want to
-    /// keep burning its fuel.
-    pub fn park(&mut self, lane: usize) {
-        self.parked[lane] = true;
-    }
-
-    /// Steps every lane through one round in lockstep: lane `i` consumes
-    /// `ios[i]`'s inboxes and fills its outboxes, exactly as
-    /// [`Machine::round`](crate::machine::Machine::round) would with the
-    /// same program, fuel, registers, and inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ios.len() != self.width()`.
-    pub fn round(&mut self, ios: &mut [RoundIo]) {
-        assert_eq!(ios.len(), self.width(), "one RoundIo per lane");
-        let n = ios.len();
-        // Per-lane round-local state, struct-of-arrays like the lane state.
-        let mut pc = vec![0usize; n];
-        let mut fuel = vec![0u32; n];
-        let mut cur_a = vec![0usize; n];
-        let mut cur_b = vec![0usize; n];
-        // The divergence mask: indices of lanes still in this round.
-        let mut active: Vec<u32> = Vec::with_capacity(n);
-        for lane in 0..n {
-            fuel[lane] = self.fuel[lane];
-            let live = self.halted[lane].is_none()
-                && !self.parked[lane]
-                && !self.decoded[self.lane_decoded[lane] as usize].is_empty();
-            if live {
-                active.push(lane as u32);
-            }
-        }
-        goc_core::obs_count_nd!("vm.batch.width", active.len() as u64);
-        let mut diverged = 0u64;
-        while !active.is_empty() {
-            let mut k = 0;
-            while k < active.len() {
-                let lane = active[k] as usize;
-                let d = &self.decoded[self.lane_decoded[lane] as usize];
-                // Mirror the scalar loop head: liveness checked, then fuel
-                // and the retired counter charged *before* decode/execute.
-                if pc[lane] >= d.len() || fuel[lane] == 0 {
-                    active.swap_remove(k);
-                    if !active.is_empty() {
-                        diverged += 1;
-                    }
-                    continue;
-                }
-                fuel[lane] -= 1;
-                self.retired[lane] += 1;
-                let mut step = StepLane {
-                    pc: &mut pc[lane],
-                    regs: self.regs.lane_view(lane),
-                    io: &mut ios[lane],
-                    cur_a: &mut cur_a[lane],
-                    cur_b: &mut cur_b[lane],
-                };
-                let outcome = d.step(&mut step);
-                match outcome {
-                    StepOutcome::Continue => k += 1,
-                    StepOutcome::End => {
-                        active.swap_remove(k);
-                        if !active.is_empty() {
-                            diverged += 1;
-                        }
-                    }
-                    StepOutcome::Halt => {
-                        self.halted[lane] = Some(ios[lane].out_b.clone());
-                        active.swap_remove(k);
-                        if !active.is_empty() {
-                            diverged += 1;
-                        }
-                    }
-                }
-            }
-        }
-        goc_core::obs_count_nd!("vm.batch.divergence", diverged);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::instr::Instr;
-    use crate::machine::Machine;
-
-    fn lockstep_vs_scalar(programs: &[Program], fuel: u32, rounds: &[(Vec<u8>, Vec<u8>)]) {
-        let mut vm = BatchVm::new();
-        for p in programs {
-            vm.push(p, fuel);
-        }
-        let mut machines: Vec<Machine> =
-            programs.iter().map(|p| Machine::with_fuel(p.clone(), fuel)).collect();
-        for (in_a, in_b) in rounds {
-            let mut ios: Vec<RoundIo> =
-                programs.iter().map(|_| RoundIo::with_inputs(in_a.clone(), in_b.clone())).collect();
-            vm.round(&mut ios);
-            for (lane, m) in machines.iter_mut().enumerate() {
-                let mut io = RoundIo::with_inputs(in_a.clone(), in_b.clone());
-                m.round(&mut io);
-                assert_eq!(ios[lane].out_a, io.out_a, "lane {lane} out_a");
-                assert_eq!(ios[lane].out_b, io.out_b, "lane {lane} out_b");
-                assert_eq!(vm.regs(lane), *m.regs(), "lane {lane} regs");
-                assert_eq!(vm.halted(lane), m.halted(), "lane {lane} halt");
-                assert_eq!(
-                    vm.instructions_retired(lane),
-                    m.instructions_retired(),
-                    "lane {lane} retired"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mixed_batch_matches_scalar_machines() {
-        let programs = vec![
-            Program::default(),                                      // empty: inert
-            Program::assemble(&[Instr::EmitA(b'x')]),                // runs off the end
-            Program::assemble(&[Instr::EmitB(b'y'), Instr::Halt]),   // halts round 0
-            Program::assemble(&[Instr::Jmp(0)]),                     // burns all fuel
-            Program::assemble(&[Instr::EmitA(b'x')]),                // duplicate: shared decode
-        ];
-        lockstep_vs_scalar(
-            &programs,
-            64,
-            &[(vec![], vec![]), (b"ab".to_vec(), vec![]), (vec![], b"ACK".to_vec())],
-        );
-    }
-
-    #[test]
-    fn duplicate_programs_share_one_decode() {
-        let mut vm = BatchVm::new();
-        let p = Program::assemble(&[Instr::EmitA(1)]);
-        let a = vm.push(&p, 16);
-        let b = vm.push(&p, 16);
-        assert_eq!(vm.width(), 2);
-        assert!(Arc::ptr_eq(&vm.share_decoded(a), &vm.share_decoded(b)));
-    }
-
-    #[test]
-    fn halted_lane_stays_inert_in_later_rounds() {
-        let p = Program::assemble(&[Instr::EmitB(7), Instr::Halt]);
-        let mut vm = BatchVm::new();
-        vm.push(&p, 16);
-        let mut ios = vec![RoundIo::default()];
-        vm.round(&mut ios);
-        assert_eq!(vm.halted(0), Some([7u8].as_slice()));
-        let mut ios = vec![RoundIo::with_inputs(b"z".as_slice(), b"".as_slice())];
-        vm.round(&mut ios);
-        assert!(ios[0].out_a.is_empty() && ios[0].out_b.is_empty());
-        assert_eq!(vm.instructions_retired(0), 2);
-    }
-
-    #[test]
-    fn with_batch_overrides_and_restores() {
-        let outer = enabled();
-        with_batch(!outer, || {
-            assert_eq!(enabled(), !outer);
-            with_batch(outer, || assert_eq!(enabled(), outer));
-            assert_eq!(enabled(), !outer);
-        });
-        assert_eq!(enabled(), outer);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive fuel")]
-    fn zero_fuel_lane_panics() {
-        let mut vm = BatchVm::new();
-        vm.push(&Program::default(), 0);
-    }
 }

@@ -2,13 +2,11 @@
 //!
 //! With dispatch on (the default), [`Machine::round`] predecodes its program
 //! once and drives every round through the per-opcode handler table in
-//! [`machine`](crate::machine) — the same table the batch interpreter and
-//! the prewarm executor dispatch from, so all three paths share exactly one
-//! semantics. `GOC_DISPATCH=0` selects the original scalar `match` loop,
-//! kept as the executable specification the table is differentially tested
-//! against (`crates/vm/tests/dispatch_equivalence.rs`).
+//! [`machine`](crate::machine). `GOC_DISPATCH=0` selects the original
+//! scalar `match` loop, kept as the executable specification the table is
+//! differentially tested against (`crates/vm/tests/dispatch_equivalence.rs`).
 //!
-//! Like `GOC_BATCH` and `GOC_PREWARM`, the flag is observationally inert:
+//! The flag is observationally inert:
 //! outboxes, halt payloads, registers, retired-instruction counts, and the
 //! `GOC_TRACE` stream are byte-identical either way (gated in ci.sh). The
 //! environment variable is read once and latched; [`with_dispatch`] is the

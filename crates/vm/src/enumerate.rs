@@ -12,12 +12,8 @@ use crate::adapter::VmUser;
 use crate::instr::Instr;
 use crate::program::Program;
 use goc_core::enumeration::StrategyEnumerator;
-use goc_core::par;
-use goc_core::par::pool;
 use goc_core::strategy::BoxedUser;
 use std::collections::HashSet;
-use std::fmt::Debug;
-use std::sync::{Arc, Mutex, PoisonError};
 
 /// Enumerates byte strings over an alphabet in length-lex order and mounts
 /// them as user strategies.
@@ -34,51 +30,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// assert_eq!(e.program(1).len(), 1);
 /// assert_eq!(e.program(257).len(), 2);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct ProgramEnumerator {
     alphabet: Vec<u8>,
     max_len: Option<usize>,
     fuel: u32,
     /// Pins candidate-cache use on mounted users (None = `GOC_VM_CACHE`).
     cache_override: Option<bool>,
-    /// Pipelined-prewarm handoff: candidates built by background pool jobs
-    /// ([`StrategyEnumerator::prefetch`]) wait here until the matching
-    /// [`StrategyEnumerator::batch`] call claims them. Shared across clones
-    /// (an `Arc`), so the deduped wrapper and the live enumerator drain the
-    /// same stash.
-    prewarm: Arc<PrewarmShared>,
-}
-
-impl Debug for ProgramEnumerator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgramEnumerator")
-            .field("alphabet", &self.alphabet)
-            .field("max_len", &self.max_len)
-            .field("fuel", &self.fuel)
-            .field("cache_override", &self.cache_override)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Shared state between the consumer and its background prewarm jobs.
-#[derive(Default)]
-struct PrewarmShared {
-    state: Mutex<PrewarmState>,
-}
-
-#[derive(Default)]
-struct PrewarmState {
-    /// In-flight background jobs (joined before their output is drained).
-    pending: Vec<pool::JobHandle>,
-    /// Built candidates keyed by full-enumeration index. At most one
-    /// lookahead window wide, so linear scans are fine.
-    ready: Vec<(usize, VmUser)>,
-}
-
-fn lock_prewarm(shared: &PrewarmShared) -> std::sync::MutexGuard<'_, PrewarmState> {
-    // A panicking background job is re-raised at join; the state itself is
-    // never left torn (Vec ops are panic-atomic here), so poison is inert.
-    shared.state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ProgramEnumerator {
@@ -89,7 +47,6 @@ impl ProgramEnumerator {
             max_len: None,
             fuel: crate::machine::DEFAULT_FUEL,
             cache_override: None,
-            prewarm: Arc::default(),
         }
     }
 
@@ -110,7 +67,6 @@ impl ProgramEnumerator {
             max_len: None,
             fuel: crate::machine::DEFAULT_FUEL,
             cache_override: None,
-            prewarm: Arc::default(),
         }
     }
 
@@ -148,146 +104,6 @@ impl ProgramEnumerator {
             Some(enabled) => user.with_cache_enabled(enabled),
             None => user,
         }
-    }
-
-    /// Dispatches background jobs that build (and deep-prewarm) the users
-    /// for `indices` on idle pool workers. No-op unless the batch
-    /// interpreter is active, `GOC_PREWARM` is on, and there is at least one
-    /// idle worker (`thread_count() > 1`) — in every other configuration a
-    /// later [`batch`](StrategyEnumerator::batch) builds inline exactly as
-    /// before.
-    ///
-    /// Soundness: `make_user` is a pure function of the index, and the deep
-    /// prewarm ([`crate::adapter::prewarm_deep`]) only inserts
-    /// value-identical entries into the candidate cache, so consuming a
-    /// stashed user is observably identical to building it inline.
-    fn prefetch_impl(&self, indices: &[usize]) {
-        if !crate::batch::enabled() || !par::prewarm_enabled() || par::thread_count() <= 1 {
-            return;
-        }
-        let total = self.total();
-        let wanted: Vec<usize> = indices
-            .iter()
-            .copied()
-            .filter(|&i| total.is_none_or(|t| i < t))
-            .collect();
-        if wanted.is_empty() {
-            return;
-        }
-        // One outstanding window at a time: anything a consumer never
-        // claimed is stale (schedule moved on) — join and drop it.
-        let leftovers = {
-            let mut state = lock_prewarm(&self.prewarm);
-            std::mem::take(&mut state.pending)
-        };
-        for job in leftovers {
-            job.join();
-        }
-        {
-            let mut state = lock_prewarm(&self.prewarm);
-            let stale = state.ready.len();
-            if stale > 0 {
-                goc_core::obs_count_nd!("vm.prewarm.stale", stale as u64);
-                state.ready.clear();
-            }
-        }
-        // Split the window across the idle workers so candidate
-        // construction and fuel burn parallelise, not just pipeline.
-        // `submit` alone only guarantees one worker, which would serialise
-        // the shards — reserve the full complement first.
-        let workers = (par::thread_count() - 1).min(wanted.len()).max(1);
-        pool::ensure_workers(workers);
-        let shard_len = wanted.len().div_ceil(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for shard in wanted.chunks(shard_len) {
-            let shard: Vec<usize> = shard.to_vec();
-            let spec = self.clone();
-            let shared = Arc::clone(&self.prewarm);
-            goc_core::obs_count_nd!("vm.prewarm.jobs", 1u64);
-            handles.push(pool::submit(move || {
-                // The worker thread has its own batch override (off) — pin
-                // the interpreter the dispatching thread checked.
-                crate::batch::with_batch(true, || {
-                    let mut users: Vec<(usize, VmUser)> =
-                        shard.iter().map(|&i| (i, spec.make_user(i))).collect();
-                    crate::adapter::prewarm_deep(
-                        users.iter_mut().map(|(_, u)| u),
-                        crate::adapter::prewarm_depth(),
-                    );
-                    lock_prewarm(&shared).ready.append(&mut users);
-                });
-            }));
-        }
-        lock_prewarm(&self.prewarm).pending = handles;
-    }
-
-    /// Claims background-built users for `wanted` (per-slot original
-    /// indices; `None` = out of range), joining any in-flight jobs first.
-    /// Slots without a stashed user come back `None` for the caller to
-    /// build inline.
-    fn take_prewarmed(&self, wanted: &[Option<usize>]) -> Vec<Option<VmUser>> {
-        let mut out: Vec<Option<VmUser>> = wanted.iter().map(|_| None).collect();
-        let pending = {
-            let mut state = lock_prewarm(&self.prewarm);
-            std::mem::take(&mut state.pending)
-        };
-        let had_jobs = !pending.is_empty();
-        for job in pending {
-            job.join();
-        }
-        let mut state = lock_prewarm(&self.prewarm);
-        if state.ready.is_empty() {
-            return out;
-        }
-        let mut hits = 0u64;
-        for (slot, &want) in wanted.iter().enumerate() {
-            let Some(index) = want else { continue };
-            if let Some(pos) = state.ready.iter().position(|&(i, _)| i == index) {
-                out[slot] = Some(state.ready.swap_remove(pos).1);
-                hits += 1;
-            }
-        }
-        if had_jobs {
-            goc_core::obs_count_nd!("vm.prewarm.hits", hits);
-        }
-        let stale = state.ready.len();
-        if stale > 0 {
-            goc_core::obs_count_nd!("vm.prewarm.stale", stale as u64);
-            // Dropping recycles the users' buffers into this thread's arena.
-            state.ready.clear();
-        }
-        out
-    }
-
-    /// Builds the users for `orig` (per-slot original indices; `None` = out
-    /// of range) under the batch interpreter: stashed background-built users
-    /// are claimed first, the rest are built inline and first-round
-    /// prewarmed exactly as the non-pipelined path does.
-    fn build_batch(&self, orig: &[Option<usize>]) -> Vec<Option<VmUser>> {
-        let total = self.total();
-        let wanted: Vec<Option<usize>> = orig
-            .iter()
-            .map(|&o| o.filter(|&i| total.is_none_or(|t| i < t)))
-            .collect();
-        let mut users = self.take_prewarmed(&wanted);
-        let mut fresh: Vec<bool> = vec![false; users.len()];
-        for (slot, &want) in wanted.iter().enumerate() {
-            if users[slot].is_none() {
-                if let Some(index) = want {
-                    users[slot] = Some(self.make_user(index));
-                    fresh[slot] = true;
-                }
-            }
-        }
-        // Stashed users already carry their shared decode and cache
-        // entries; only inline-built candidates need the lockstep prewarm.
-        crate::adapter::prewarm_batch(
-            users
-                .iter_mut()
-                .zip(fresh.iter())
-                .filter_map(|(u, &was_fresh)| if was_fresh { u.as_mut() } else { None }),
-        );
-        users
     }
 
     /// Number of programs of length exactly `len` (may saturate at
@@ -336,16 +152,8 @@ impl ProgramEnumerator {
             }
         }
         // Write `remaining` in base `a`, most significant digit first,
-        // padded to `len` digits. Under batch mode the digit buffer comes
-        // from the candidate arena (and returns to it when the candidate is
-        // eliminated, via `VmUser`'s drop).
-        let mut digits = if crate::batch::enabled() {
-            let mut v = crate::arena::take_bytes(len);
-            v.resize(len, 0);
-            v
-        } else {
-            vec![0u8; len]
-        };
+        // padded to `len` digits.
+        let mut digits = vec![0u8; len];
         let mut value = remaining;
         for slot in digits.iter_mut().rev() {
             *slot = self.alphabet[(value % a) as usize];
@@ -508,28 +316,6 @@ impl StrategyEnumerator for DedupedProgramEnumerator {
         self.inner.strategy(*self.representatives.get(index)?)
     }
 
-    fn batch(&self, indices: &[usize]) -> Vec<Option<BoxedUser>> {
-        let mapped: Vec<Option<usize>> =
-            indices.iter().map(|&i| self.representatives.get(i).copied()).collect();
-        let total = self.inner.total();
-        let in_range =
-            |orig: usize| total.map_or(true, |t| orig < t);
-        if crate::batch::enabled() {
-            let users = self.inner.build_batch(&mapped);
-            return users.into_iter().map(|u| u.map(|u| Box::new(u) as BoxedUser)).collect();
-        }
-        let users = par::par_map(mapped.len(), |k| {
-            mapped[k].and_then(|orig| in_range(orig).then(|| self.inner.make_user(orig)))
-        });
-        users.into_iter().map(|u| u.map(|u| Box::new(u) as BoxedUser)).collect()
-    }
-
-    fn prefetch(&self, indices: &[usize]) {
-        let mapped: Vec<usize> =
-            indices.iter().filter_map(|&i| self.representatives.get(i).copied()).collect();
-        self.inner.prefetch_impl(&mapped);
-    }
-
     fn name(&self) -> String {
         format!("{} deduped({})", self.inner.name(), self.representatives.len())
     }
@@ -547,32 +333,6 @@ impl StrategyEnumerator for ProgramEnumerator {
             }
         }
         Some(Box::new(self.make_user(index)))
-    }
-
-    fn batch(&self, indices: &[usize]) -> Vec<Option<BoxedUser>> {
-        let total = self.total();
-        if crate::batch::enabled() {
-            // Batch mode: claim any background-built candidates from the
-            // prewarm stash, build the rest inline on the calling thread
-            // (arena-backed buffers are thread-local) and prewarm those —
-            // one shared decode per program text plus a lockstep first
-            // round for cache-enabled candidates (`adapter::prewarm_batch`).
-            let orig: Vec<Option<usize>> = indices.iter().map(|&i| Some(i)).collect();
-            let users = self.build_batch(&orig);
-            return users.into_iter().map(|u| u.map(|u| Box::new(u) as BoxedUser)).collect();
-        }
-        // Scalar mode: VmUser is Send and construction is pure, so
-        // materialise the batch on the worker pool; boxing happens on the
-        // calling thread because BoxedUser carries no Send bound.
-        let users = par::par_map(indices.len(), |k| {
-            let index = indices[k];
-            total.map_or(true, |t| index < t).then(|| self.make_user(index))
-        });
-        users.into_iter().map(|u| u.map(|u| Box::new(u) as BoxedUser)).collect()
-    }
-
-    fn prefetch(&self, indices: &[usize]) {
-        self.prefetch_impl(indices);
     }
 
     fn name(&self) -> String {
@@ -674,10 +434,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_strategy_in_parallel() {
+    fn batch_matches_strategy() {
         let e = ProgramEnumerator::over(vec![0u8, 1]).with_max_len(3);
         let indices = [0usize, 5, 14, 15, 99, 7];
-        let got = goc_core::par::with_thread_count(4, || e.batch(&indices));
+        let got = e.batch(&indices);
         assert_eq!(got.len(), indices.len());
         for (k, &i) in indices.iter().enumerate() {
             assert_eq!(got[k].is_some(), e.strategy(i).is_some(), "index {i}");

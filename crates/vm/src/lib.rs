@@ -10,20 +10,11 @@
 //! - [`instr`] — the 16-opcode instruction set (registers, channel I/O,
 //!   bounded jumps).
 //! - [`program`] — programs, assembler, disassembler.
-//! - [`machine`] — the fuel-bounded interpreter: a predecoded
-//!   ([`DecodedProgram`]) per-opcode dispatch table shared by the scalar,
-//!   batch, and prewarm paths, with the original `match` loop kept as its
-//!   executable specification.
+//! - [`machine`] — the fuel-bounded interpreter: every round runs through a
+//!   predecoded ([`DecodedProgram`]) per-opcode dispatch table, with the
+//!   original `match` loop kept as its executable specification.
 //! - [`dispatch`] — the `GOC_DISPATCH` gate selecting between the two
 //!   interpreter cores (default: table dispatch).
-//! - [`batch`] — the lockstep batch interpreter ([`BatchVm`]) stepping N
-//!   candidates per round with one shared decode and struct-of-arrays
-//!   per-register columns (`GOC_BATCH`, default on).
-//! - [`arena`] — thread-local recycled buffers for candidate spawn/eliminate
-//!   churn under batch mode.
-//! - [`predict`] — per-program-class first-round output signatures and the
-//!   top-K continuation predictor behind predicted-prefix prewarm
-//!   speculation.
 //! - [`adapter`] — mounting programs as `goc-core` users/servers, plus a
 //!   library of small useful programs.
 //! - [`cache`] — the candidate-evaluation cache memoising VM rounds by
@@ -51,7 +42,6 @@
 //! ```
 
 pub mod adapter;
-pub mod arena;
 pub mod asm;
 pub mod batch;
 pub mod cache;
@@ -63,7 +53,6 @@ pub mod predict;
 pub mod program;
 
 pub use adapter::{VmServer, VmUser};
-pub use batch::BatchVm;
 pub use enumerate::ProgramEnumerator;
 pub use instr::{Chan, Instr, Reg};
 pub use machine::{DecodedProgram, Machine, RoundIo};

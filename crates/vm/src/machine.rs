@@ -14,12 +14,9 @@
 //! program once into a [`DecodedProgram`] — a dense opcode index plus
 //! flattened operands per byte offset — and executes through `DISPATCH`, a
 //! `const` table of per-opcode handler functions (unsafe-free fn-pointer
-//! dispatch). Scalar rounds, the lockstep batch interpreter
-//! ([`BatchVm`](crate::batch::BatchVm)), and the prewarm executor all step
-//! through the same table via `StepLane`, so there is exactly one place
-//! opcode semantics live. `GOC_DISPATCH=0` (see [`dispatch`](crate::dispatch))
-//! selects `Machine::round_match`'s original `match` loop instead — kept as
-//! the executable specification the table is differentially tested against.
+//! dispatch). `GOC_DISPATCH=0` (see [`dispatch`](crate::dispatch)) selects
+//! `Machine::round_match`'s original `match` loop instead — kept as the
+//! executable specification the table is differentially tested against.
 
 use crate::instr::{Chan, Instr, OPCODE_COUNT, REG_COUNT};
 use crate::program::Program;
@@ -153,22 +150,22 @@ impl Machine {
     ///
     /// With [`dispatch::enabled`](crate::dispatch::enabled) (the default)
     /// the round runs through the predecoded handler table, built lazily on
-    /// first use and shared across rounds; `GOC_DISPATCH=0` selects the
-    /// `match` loop in `round_match`. Both cores are observably identical.
+    /// first use and kept for every later round; `GOC_DISPATCH=0` selects
+    /// the `match` loop in `round_match`. Both cores are observably
+    /// identical.
     pub fn round(&mut self, io: &mut RoundIo) {
         if self.halted.is_some() || self.program.is_empty() {
             return;
         }
         if crate::dispatch::enabled() {
-            let decoded = match &self.decoded {
-                Some(d) => Arc::clone(d),
-                None => {
-                    let d = Arc::new(DecodedProgram::new(&self.program));
-                    self.decoded = Some(Arc::clone(&d));
-                    d
-                }
-            };
+            // Take the decode out for the round and put it back after, so
+            // the round borrows it without touching the reference count.
+            let decoded = self
+                .decoded
+                .take()
+                .unwrap_or_else(|| Arc::new(DecodedProgram::new(&self.program)));
             self.round_decoded(&decoded, io);
+            self.decoded = Some(decoded);
         } else {
             self.round_match(io);
         }
@@ -266,21 +263,23 @@ impl Machine {
     }
 
     /// Executes one round through a predecoded program — the jump-table
-    /// dispatch twin of [`Machine::round`], observably identical (outboxes,
+    /// dispatch twin of `round_match`, observably identical (outboxes,
     /// registers, halt payload, retired-instruction count) but with decode,
     /// operand reads, and jump reduction all hoisted out of the loop.
     ///
     /// `decoded` must be [`DecodedProgram::new`] of this machine's program;
     /// that invariant is debug-asserted.
-    pub fn round_decoded(&mut self, decoded: &DecodedProgram, io: &mut RoundIo) {
+    ///
+    /// Kept out of line on purpose: inlined into `round` and on into its
+    /// callers, the dispatch loop ran about 10% slower on the `levin_vm_cold`
+    /// perfbench workload (2-vCPU host).
+    #[inline(never)]
+    fn round_decoded(&mut self, decoded: &DecodedProgram, io: &mut RoundIo) {
         debug_assert_eq!(
             decoded.code(),
             self.program.as_bytes(),
             "DecodedProgram does not match this machine's program"
         );
-        if self.halted.is_some() || self.program.is_empty() {
-            return;
-        }
         let code_len = decoded.len();
         let mut pc = 0usize;
         let mut fuel = self.fuel_per_round;
@@ -291,7 +290,7 @@ impl Machine {
             self.instructions_retired += 1;
             let mut lane = StepLane {
                 pc: &mut pc,
-                regs: RegLane::scalar(&mut self.regs),
+                regs: &mut self.regs,
                 io: &mut *io,
                 cur_a: &mut cur_a,
                 cur_b: &mut cur_b,
@@ -305,12 +304,6 @@ impl Machine {
                 }
             }
         }
-    }
-
-    /// Consumes the machine, returning its program (lets the candidate
-    /// arena recycle program buffers on elimination).
-    pub fn into_program(self) -> Program {
-        self.program
     }
 
     /// Serializes the machine's mutable state (registers, halt payload,
@@ -370,7 +363,7 @@ impl Machine {
 
 /// Outcome of executing one decoded instruction (see [`DecodedProgram::step`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum StepOutcome {
+enum StepOutcome {
     /// Fell through or jumped; the round continues.
     Continue,
     /// `end` — the round is over.
@@ -379,52 +372,15 @@ pub(crate) enum StepOutcome {
     Halt,
 }
 
-/// A strided view of one lane's registers, so the scalar machine's
-/// `[u64; REG_COUNT]` (stride 1, lane 0) and one lane of the batch
-/// interpreter's per-register columns (stride = column stride) read and
-/// write through the same two accessors — the dispatch handlers see exactly
-/// one register model. Register `r` lives at `slots[r * stride + lane]`.
-pub(crate) struct RegLane<'a> {
-    slots: &'a mut [u64],
-    stride: usize,
-    lane: usize,
-}
-
-impl<'a> RegLane<'a> {
-    /// The scalar view over a machine's own register array.
-    #[inline(always)]
-    pub(crate) fn scalar(regs: &'a mut [u64; REG_COUNT]) -> Self {
-        RegLane { slots: regs, stride: 1, lane: 0 }
-    }
-
-    /// One lane of a struct-of-arrays register file.
-    #[inline(always)]
-    pub(crate) fn strided(slots: &'a mut [u64], stride: usize, lane: usize) -> Self {
-        debug_assert!(lane < stride, "lane {lane} outside stride {stride}");
-        debug_assert!(slots.len() >= REG_COUNT * stride, "register file too small");
-        RegLane { slots, stride, lane }
-    }
-
-    #[inline(always)]
-    fn get(&self, r: u8) -> u64 {
-        self.slots[r as usize * self.stride + self.lane]
-    }
-
-    #[inline(always)]
-    fn set(&mut self, r: u8, v: u64) {
-        self.slots[r as usize * self.stride + self.lane] = v;
-    }
-}
-
-/// The mutable per-round execution state of one lane, threaded through every
-/// dispatch handler. The caller owns fuel and retired-instruction accounting
-/// (charged *before* each step, as the scalar loop does).
-pub(crate) struct StepLane<'a> {
-    pub(crate) pc: &'a mut usize,
-    pub(crate) regs: RegLane<'a>,
-    pub(crate) io: &'a mut RoundIo,
-    pub(crate) cur_a: &'a mut usize,
-    pub(crate) cur_b: &'a mut usize,
+/// The mutable per-round execution state of one machine, threaded through
+/// every dispatch handler. The caller owns fuel and retired-instruction
+/// accounting (charged *before* each step, as the scalar loop does).
+struct StepLane<'a> {
+    pc: &'a mut usize,
+    regs: &'a mut [u64; REG_COUNT],
+    io: &'a mut RoundIo,
+    cur_a: &'a mut usize,
+    cur_b: &'a mut usize,
 }
 
 impl StepLane<'_> {
@@ -526,13 +482,13 @@ fn op_emit_b(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
 
 #[inline(always)]
 fn op_emit_a_reg(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.io.out_a.push(s.regs.get(op.a) as u8);
+    s.io.out_a.push(s.regs[op.a as usize] as u8);
     s.advance(op)
 }
 
 #[inline(always)]
 fn op_emit_b_reg(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.io.out_b.push(s.regs.get(op.a) as u8);
+    s.io.out_b.push(s.regs[op.a as usize] as u8);
     s.advance(op)
 }
 
@@ -545,7 +501,7 @@ fn op_read_a(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
         }
         None => EXHAUSTED,
     };
-    s.regs.set(op.a, v);
+    s.regs[op.a as usize] = v;
     s.advance(op)
 }
 
@@ -558,33 +514,33 @@ fn op_read_b(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
         }
         None => EXHAUSTED,
     };
-    s.regs.set(op.a, v);
+    s.regs[op.a as usize] = v;
     s.advance(op)
 }
 
 #[inline(always)]
 fn op_const(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.regs.set(op.a, op.b as u64);
+    s.regs[op.a as usize] = op.b as u64;
     s.advance(op)
 }
 
 #[inline(always)]
 fn op_add(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = s.regs.get(op.a).wrapping_add(s.regs.get(op.b));
-    s.regs.set(op.a, v);
+    let v = s.regs[op.a as usize].wrapping_add(s.regs[op.b as usize]);
+    s.regs[op.a as usize] = v;
     s.advance(op)
 }
 
 #[inline(always)]
 fn op_inc(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = s.regs.get(op.a).wrapping_add(1);
-    s.regs.set(op.a, v);
+    let v = s.regs[op.a as usize].wrapping_add(1);
+    s.regs[op.a as usize] = v;
     s.advance(op)
 }
 
 #[inline(always)]
 fn op_jmp_if_zero(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    *s.pc = if s.regs.get(op.a) == 0 { op.target as usize } else { op.next as usize };
+    *s.pc = if s.regs[op.a as usize] == 0 { op.target as usize } else { op.next as usize };
     StepOutcome::Continue
 }
 
@@ -622,8 +578,8 @@ fn op_copy_b(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
 
 #[inline(always)]
 fn op_add_const(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = s.regs.get(op.a).wrapping_add(op.b as u64);
-    s.regs.set(op.a, v);
+    let v = s.regs[op.a as usize].wrapping_add(op.b as u64);
+    s.regs[op.a as usize] = v;
     s.advance(op)
 }
 
@@ -634,9 +590,8 @@ fn op_end_round(_op: DecodedOp, _s: &mut StepLane<'_>) -> StepOutcome {
 
 /// A program predecoded for jump-table dispatch: one op per **byte offset**
 /// (jumps may land mid-instruction, so every offset is a legal entry point),
-/// with fall-through and jump targets resolved up front. One decode is
-/// shared by every round of a machine and by every lane of a
-/// [`BatchVm`](crate::batch::BatchVm) running the same program.
+/// with fall-through and jump targets resolved up front. One decode serves
+/// every round of a machine.
 #[derive(Clone, Debug)]
 pub struct DecodedProgram {
     code: Box<[u8]>,
@@ -685,7 +640,7 @@ impl DecodedProgram {
     /// The caller owns the fuel and retired-instruction accounting (charged
     /// *before* this call, as the scalar loop does).
     #[inline(always)]
-    pub(crate) fn step(&self, lane: &mut StepLane<'_>) -> StepOutcome {
+    fn step(&self, lane: &mut StepLane<'_>) -> StepOutcome {
         let op = self.ops[*lane.pc];
         exec_op(op, lane)
     }
@@ -694,7 +649,7 @@ impl DecodedProgram {
 /// Executes one decoded op: semantically `DISPATCH[op.op](op, lane)`, written
 /// as a `match` on the dense opcode index. Both forms compile to an indexed
 /// jump through a constant table, but the `match` keeps the handler bodies
-/// inlinable into the scalar and batch round loops — an indirect call through
+/// inlinable into the round loop — an indirect call through
 /// the fn-pointer table is an inlining barrier that costs ~1.5x on
 /// burner-heavy settle workloads, where the whole per-step state otherwise
 /// lives in registers. The `const` table stays the canonical opcode → handler
@@ -906,7 +861,7 @@ mod tests {
                 let outcome = {
                     let mut lane = StepLane {
                         pc: &mut pc,
-                        regs: RegLane::scalar(&mut regs),
+                        regs: &mut regs,
                         io: &mut io,
                         cur_a: &mut cur_a,
                         cur_b: &mut cur_b,

@@ -1,268 +1,18 @@
-//! First-round output signatures and the top-K continuation predictor
-//! behind predicted-prefix prewarm speculation.
-//!
-//! The all-empty-inbox chain that `prewarm_deep` speculates covers
-//! *burners* — candidates that ignore their inbox — but not *echoers*,
-//! whose later rounds depend on what the server and world answered. Those
-//! answers are themselves highly predictable: under a fixed goal and server,
-//! candidates that produce the same **first-round output** tend to receive
-//! the same replies. This module groups programs by the signature of their
-//! round-0 outputs (on the canonical all-empty inbox) and records, per
-//! class, which round-1 inboxes actually followed in live sessions.
-//! Background prewarm workers then additionally speculate the top-K
-//! recorded inboxes as *stationary* continuations of the empty first round.
-//!
-//! **Soundness.** The candidate cache key is a pure function of
-//! `(program, fuel, inbox history)`, so a speculated entry is value-identical
-//! to what live execution would compute for that history — a wrong
-//! prediction can only *miss*, never serve wrong data. The predictor
-//! therefore only chooses *which* value-identical entries get built.
-//!
-//! **Boundedness.** The class table is capped ([`MAX_CLASSES`] classes ×
-//! [`MAX_REPLIES`] distinct replies), speculation is capped per prewarm
-//! call, and every live second round is scored against the prediction:
-//! the `vm.prewarm.mispredict` counter (process scope, outside the
-//! deterministic trace) proves wasted speculative work stays bounded.
-//!
-//! Determinism: predictions depend on observation order, which varies with
-//! scheduling — that is fine precisely because predictions only steer cache
-//! warming, never results. All counters here are `obs_count_nd!`.
+//! Kept only for perfbench; remove in the next benchmark PR.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// Bound on distinct first-output classes tracked.
-const MAX_CLASSES: usize = 4096;
-
-/// Bound on distinct continuations remembered per class.
-const MAX_REPLIES: usize = 8;
-
-/// One first-output class: the distinct `(in_a, in_b)` continuations seen
-/// after it, with observation counts, in first-seen order.
-#[derive(Clone, Debug, Default)]
-struct ClassStats {
-    replies: Vec<(Vec<u8>, Vec<u8>, u64)>,
-}
-
-#[derive(Default)]
-struct Predictor {
-    classes: HashMap<u64, ClassStats>,
-}
-
-fn predictor() -> &'static Mutex<Predictor> {
-    static P: OnceLock<Mutex<Predictor>> = OnceLock::new();
-    P.get_or_init(|| Mutex::new(Predictor::default()))
-}
-
-static OBSERVED: AtomicU64 = AtomicU64::new(0);
-static MISPREDICTS: AtomicU64 = AtomicU64::new(0);
-static SPECULATED: AtomicU64 = AtomicU64::new(0);
-
-/// FNV-1a over both outboxes with length prefixes — the first-output class
-/// key. Stable across threads and sessions (pure function of the bytes).
-pub fn signature(out_a: &[u8], out_b: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for b in (bytes.len() as u32).to_le_bytes().into_iter().chain(bytes.iter().copied()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(out_a);
-    eat(out_b);
-    h
-}
-
-/// How many continuations per class the prewarm workers speculate:
-/// `GOC_PREWARM_TOPK`, default 2, clamped to `0..=8` (0 disables
-/// predicted-prefix speculation). Read once and latched.
-pub fn top_k() -> usize {
-    static K: OnceLock<usize> = OnceLock::new();
-    *K.get_or_init(|| {
-        std::env::var("GOC_PREWARM_TOPK")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(2)
-            .min(MAX_REPLIES)
-    })
-}
-
-/// The top-`k` continuations recorded for class `sig`, most-observed first
-/// (ties broken by first-seen order, so the ranking is deterministic for a
-/// given observation sequence).
-pub fn predict(sig: u64, k: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let p = predictor().lock().unwrap_or_else(|e| e.into_inner());
-    let Some(class) = p.classes.get(&sig) else { return Vec::new() };
-    let mut order: Vec<usize> = (0..class.replies.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(class.replies[i].2), i));
-    order
-        .into_iter()
-        .take(k)
-        .map(|i| (class.replies[i].0.clone(), class.replies[i].1.clone()))
-        .collect()
-}
-
-/// Records the actual round-1 inbox that followed a live candidate's first
-/// round: scores it against the class's current top-K (counting a
-/// mispredict when the class had recorded continuations but none of the
-/// speculated ones matched), then folds it into the class statistics. The
-/// all-empty continuation is scored but not learned — the empty chain is
-/// always speculated unconditionally.
-pub fn record_outcome(sig: u64, in_a: &[u8], in_b: &[u8]) {
-    let k = top_k();
-    let mut p = predictor().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(class) = p.classes.get(&sig) {
-        if !class.replies.is_empty() && k > 0 {
-            let mut order: Vec<usize> = (0..class.replies.len()).collect();
-            order.sort_by_key(|&i| (std::cmp::Reverse(class.replies[i].2), i));
-            let hit = order
-                .iter()
-                .take(k)
-                .any(|&i| class.replies[i].0 == in_a && class.replies[i].1 == in_b);
-            if hit {
-                goc_core::obs_count_nd!("vm.prewarm.predict_hit", 1u64);
-            } else {
-                MISPREDICTS.fetch_add(1, Ordering::Relaxed);
-                goc_core::obs_count_nd!("vm.prewarm.mispredict", 1u64);
-            }
-        }
-    }
-    if in_a.is_empty() && in_b.is_empty() {
-        return;
-    }
-    OBSERVED.fetch_add(1, Ordering::Relaxed);
-    let at_capacity = p.classes.len() >= MAX_CLASSES && !p.classes.contains_key(&sig);
-    if at_capacity {
-        return;
-    }
-    let class = p.classes.entry(sig).or_default();
-    match class.replies.iter_mut().find(|(a, b, _)| a == in_a && b == in_b) {
-        Some(reply) => reply.2 += 1,
-        None => {
-            if class.replies.len() < MAX_REPLIES {
-                class.replies.push((in_a.to_vec(), in_b.to_vec(), 1));
-            }
-        }
-    }
-}
-
-/// Accounting hook for the prewarm executor: `chains` predicted-prefix
-/// chains were speculated.
-pub fn note_speculated(chains: u64) {
-    SPECULATED.fetch_add(chains, Ordering::Relaxed);
-}
-
-/// Lifetime predictor statistics (process scope).
+/// Kept only for perfbench; remove in the next benchmark PR. Always zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PredictStats {
-    /// First-output classes currently tracked.
-    pub classes: u64,
-    /// Non-empty continuations observed (after capacity drops).
-    pub observed: u64,
-    /// Live second rounds whose inbox none of the top-K predictions matched.
+    /// Always zero.
     pub mispredicts: u64,
-    /// Predicted-prefix chains handed to the prewarm executor.
+    /// Always zero.
     pub speculated: u64,
 }
 
-/// Current [`PredictStats`].
+/// Kept only for perfbench; remove in the next benchmark PR. Returns zeros.
 pub fn stats() -> PredictStats {
-    let p = predictor().lock().unwrap_or_else(|e| e.into_inner());
-    PredictStats {
-        classes: p.classes.len() as u64,
-        observed: OBSERVED.load(Ordering::Relaxed),
-        mispredicts: MISPREDICTS.load(Ordering::Relaxed),
-        speculated: SPECULATED.load(Ordering::Relaxed),
-    }
+    PredictStats::default()
 }
 
-/// Clears all classes and counters — benches and tests isolate runs with
-/// this, exactly like `cache::clear`.
-pub fn reset() {
-    let mut p = predictor().lock().unwrap_or_else(|e| e.into_inner());
-    p.classes.clear();
-    OBSERVED.store(0, Ordering::Relaxed);
-    MISPREDICTS.store(0, Ordering::Relaxed);
-    SPECULATED.store(0, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::MutexGuard;
-
-    /// The predictor is process-global; tests serialize on this.
-    fn isolated() -> MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        let guard = GATE.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        guard
-    }
-
-    #[test]
-    fn signature_separates_outputs_and_channels() {
-        let _g = isolated();
-        assert_ne!(signature(b"x", b""), signature(b"", b"x"));
-        assert_ne!(signature(b"ab", b"c"), signature(b"a", b"bc"));
-        assert_eq!(signature(b"hi", b"yo"), signature(b"hi", b"yo"));
-    }
-
-    #[test]
-    fn predict_ranks_by_count_with_stable_ties() {
-        let _g = isolated();
-        let sig = signature(b"q", b"");
-        record_outcome(sig, b"first", b"");
-        record_outcome(sig, b"second", b"");
-        record_outcome(sig, b"second", b"");
-        record_outcome(sig, b"third", b"");
-        let top = predict(sig, 2);
-        assert_eq!(top[0].0, b"second");
-        // "first" and "third" tie at one observation; first-seen wins.
-        assert_eq!(top[1].0, b"first");
-    }
-
-    #[test]
-    fn mispredicts_count_only_when_class_has_history() {
-        let _g = isolated();
-        let sig = signature(b"m", b"");
-        // No history yet: nothing to mispredict.
-        record_outcome(sig, b"a", b"");
-        assert_eq!(stats().mispredicts, 0);
-        // "a" is now the (only) prediction; "b" misses it.
-        record_outcome(sig, b"b", b"");
-        assert_eq!(stats().mispredicts, 1);
-        // "a" is a hit.
-        record_outcome(sig, b"a", b"");
-        assert_eq!(stats().mispredicts, 1);
-    }
-
-    #[test]
-    fn empty_continuations_are_scored_but_not_learned() {
-        let _g = isolated();
-        let sig = signature(b"e", b"");
-        record_outcome(sig, &[], &[]);
-        assert!(predict(sig, 8).is_empty(), "empty inbox must not be learned");
-        record_outcome(sig, b"z", b"");
-        // The class had no replies when the empty round arrived: no
-        // mispredict; but now "z" is recorded and an empty round misses it.
-        assert_eq!(stats().mispredicts, 0);
-        record_outcome(sig, &[], &[]);
-        assert_eq!(stats().mispredicts, 1);
-    }
-
-    #[test]
-    fn reply_table_is_bounded() {
-        let _g = isolated();
-        let sig = signature(b"bound", b"");
-        for i in 0..(MAX_REPLIES as u8 + 4) {
-            record_outcome(sig, &[i + 1], b"");
-        }
-        assert!(predict(sig, MAX_REPLIES + 4).len() <= MAX_REPLIES);
-    }
-}
+/// Kept only for perfbench; remove in the next benchmark PR. Does nothing.
+pub fn reset() {}

@@ -40,12 +40,6 @@ impl Program {
         &self.code
     }
 
-    /// Consumes the program, returning its code buffer (lets the candidate
-    /// [`arena`](crate::arena) reclaim program allocations on elimination).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.code
-    }
-
     /// Code length in bytes.
     pub fn len(&self) -> usize {
         self.code.len()

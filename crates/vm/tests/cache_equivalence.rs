@@ -7,9 +7,10 @@
 use goc_core::msg::{Message, UserIn};
 use goc_core::rng::GocRng;
 use goc_core::strategy::{StepCtx, UserStrategy};
-use goc_testkit::{check, gens, prop_assert_eq};
+use goc_testkit::{check, gens, prop_assert_eq, PropResult};
 use goc_vm::adapter::VmUser;
 use goc_vm::program::Program;
+use goc_vm::ProgramEnumerator;
 
 /// Runs `user` over `inputs`, collecting per-round outputs and halt states.
 fn drive(
@@ -38,24 +39,45 @@ fn drive(
 
 /// Cached and uncached users are round-for-round identical, and a second
 /// cached run (now warm) still matches.
+fn cache_is_unobservable(
+    program: &Program,
+    fuel: u32,
+    inputs: &[(Vec<u8>, Vec<u8>)],
+) -> PropResult {
+    let fresh = |cached: bool| VmUser::with_fuel(program.clone(), fuel).with_cache_enabled(cached);
+    let uncached = drive(fresh(false), inputs);
+    let cold = drive(fresh(true), inputs);
+    let warm = drive(fresh(true), inputs);
+    prop_assert_eq!(&cold, &uncached, "cold cached run diverged");
+    prop_assert_eq!(&warm, &uncached, "warm cached run diverged");
+    Ok(())
+}
+
 #[test]
 fn cached_user_is_observably_identical_to_uncached() {
     let round_inputs = gens::tuple2(gens::bytes(0, 6), gens::bytes(0, 6));
     check(
         "cached_user_is_observably_identical_to_uncached",
         gens::tuple2(gens::bytes(0, 24), gens::vec_of(round_inputs, 1, 8)),
-        |(code, inputs)| {
-            let program = Program::from_bytes(code.clone());
-            let fresh = |cached: bool| {
-                VmUser::with_fuel(program.clone(), 64).with_cache_enabled(cached)
-            };
-            let uncached = drive(fresh(false), inputs);
-            let cold = drive(fresh(true), inputs);
-            let warm = drive(fresh(true), inputs);
-            prop_assert_eq!(&cold, &uncached, "cold cached run diverged");
-            prop_assert_eq!(&warm, &uncached, "warm cached run diverged");
-            Ok(())
-        },
+        |(code, inputs)| cache_is_unobservable(&Program::from_bytes(code.clone()), 64, inputs),
+    );
+}
+
+/// The same over the `{jmp, emit.a, 'h'}` class of length ≤ 3, whose
+/// self-jump burners spin their whole fuel every round — the candidates a
+/// universal search over VM programs mostly wades through.
+#[test]
+fn cached_burner_is_observably_identical_to_uncached() {
+    let class = ProgramEnumerator::over(vec![0x0b, 0x01, b'h']).with_max_len(3);
+    let round_inputs = gens::tuple2(gens::bytes(0, 4), gens::bytes(0, 4));
+    check(
+        "cached_burner_is_observably_identical_to_uncached",
+        gens::tuple3(
+            gens::usize_in(0, 40),
+            gens::u32_in(16, 256),
+            gens::vec_of(round_inputs, 1, 10),
+        ),
+        |(index, fuel, inputs)| cache_is_unobservable(&class.program(*index), *fuel, inputs),
     );
 }
 

@@ -50,10 +50,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     };
-    // The CLI exit path mirrors the daemon's teardown discipline: any
-    // background jobs the run queued (prewarm etc.) complete before the
-    // process reports done, so nothing is lost mid-write.
-    goc::core::par::pool::drain();
     // Close out a `GOC_TRACE` file with the deterministic metric totals;
     // a no-op (two relaxed loads) when tracing is off.
     goc::core::obs::flush_metrics();

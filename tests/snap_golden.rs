@@ -59,27 +59,17 @@ fn compact_skeleton() -> Execution<toy::MagicWorld> {
 }
 
 fn canonical_snapshot(mut exec: Execution<toy::MagicWorld>) -> Vec<u8> {
-    // A snapshot records real state, and the pre-drawn lookahead buffer is
-    // real state that exists only while the prewarm pipeline is on — so the
-    // canonical vectors pin the knob exactly like they pin the seed.
-    // (Restore works under either setting; only the bytes would differ.)
-    goc::core::par::with_prewarm(true, || {
-        for _ in 0..CHECKPOINT {
-            exec.step();
-        }
-        exec.save_to_vec().expect("canonical snapshot must encode")
-    })
+    for _ in 0..CHECKPOINT {
+        exec.step();
+    }
+    exec.save_to_vec().expect("canonical snapshot must encode")
 }
 
 fn vectors() -> [(&'static str, Vec<u8>); 2] {
-    // The skeleton constructor performs the first lookahead refill, so the
-    // prewarm pin has to cover construction as well as the stepped rounds.
-    goc::core::par::with_prewarm(true, || {
-        [
-            ("finite_levin_r32.snap", canonical_snapshot(finite_skeleton())),
-            ("compact_resume_r32.snap", canonical_snapshot(compact_skeleton())),
-        ]
-    })
+    [
+        ("finite_levin_r32.snap", canonical_snapshot(finite_skeleton())),
+        ("compact_resume_r32.snap", canonical_snapshot(compact_skeleton())),
+    ]
 }
 
 #[test]
