@@ -632,6 +632,25 @@ pub fn e9_vm_instructions(rounds: u64) -> u64 {
     m.instructions_retired()
 }
 
+/// Fuel per round for the E16 burner arm: the budget the `levin_vm_cold`
+/// workload gives its candidates.
+pub const E16_BURNER_FUEL: u32 = 4_096;
+
+/// Runs a VM machine for `rounds` rounds on the pure burner `jmp +0` at
+/// [`E16_BURNER_FUEL`]; returns the number of instructions retired. Unlike
+/// [`e9_vm_instructions`]'s loop this is a pure-jump cycle, so the table
+/// core retires each round in one step while the `match` loop walks every
+/// `jmp`.
+pub fn e16_vm_burner_instructions(rounds: u64) -> u64 {
+    use goc_vm::{Instr, Machine, Program, RoundIo};
+    let mut m = Machine::with_fuel(Program::assemble(&[Instr::Jmp(0)]), E16_BURNER_FUEL);
+    for _ in 0..rounds {
+        let mut io = RoundIo::default();
+        m.round(&mut io);
+    }
+    m.instructions_retired()
+}
+
 // ---------------------------------------------------------------------------
 // E12 — noise sweep: conquest under an adversarial channel
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ use crate::program::Program;
 use goc_core::msg::{Message, ServerIn, ServerOut, UserIn, UserOut};
 use goc_core::snap::{SnapError, SnapReader, SnapWriter};
 use goc_core::strategy::{Halt, ServerStrategy, StepCtx, UserStrategy};
+use std::sync::Arc;
 
 /// A user strategy interpreting a VM [`Program`].
 ///
@@ -35,13 +36,16 @@ pub struct VmUser {
     machine: Machine,
     /// Whether steps go through the [`crate::cache`] candidate cache.
     use_cache: bool,
+    /// The program bytes, shared by forks of this user and pinned (not
+    /// copied) by every cache entry it records.
+    program: Arc<[u8]>,
     /// Precomputed [`cache::program_hash`] of the program bytes.
     program_hash: u64,
     /// Rolling hash of every inbox seen so far ([`cache::extend_prefix`]).
     prefix_hash: u128,
     /// Inputs of rounds served from the cache that the machine has not
     /// executed yet; replayed in order on the next cache miss.
-    pending_replay: Vec<(Vec<u8>, Vec<u8>)>,
+    pending_replay: Vec<(Message, Message)>,
     /// Halt state as observed through the cache (mirrors what
     /// `machine.halted()` would be after replay).
     halted_view: Option<Vec<u8>>,
@@ -63,11 +67,12 @@ impl VmUser {
     ///
     /// Panics if `fuel == 0`.
     pub fn with_fuel(program: Program, fuel: u32) -> Self {
-        let program_hash = cache::program_hash(program.as_bytes());
+        let bytes: Arc<[u8]> = program.as_bytes().into();
         VmUser {
             machine: Machine::with_fuel(program, fuel),
             use_cache: cache::enabled_by_env(),
-            program_hash,
+            program_hash: cache::program_hash(&bytes),
+            program: bytes,
             prefix_hash: cache::PREFIX_EMPTY,
             pending_replay: Vec::new(),
             halted_view: None,
@@ -95,6 +100,12 @@ impl VmUser {
         &self.machine
     }
 
+    /// The program bytes this user shares with its cache entries.
+    #[cfg(test)]
+    pub(crate) fn shared_program(&self) -> &Arc<[u8]> {
+        &self.program
+    }
+
     fn round_key(&self) -> RoundKey {
         RoundKey {
             program_hash: self.program_hash,
@@ -106,37 +117,34 @@ impl VmUser {
     /// Executes one round through the cache: hash the inbox into the prefix,
     /// serve a memoised round if one exists, otherwise replay any skipped
     /// rounds and run this one for real, recording it.
-    fn cached_round(&mut self, in_a: &[u8], in_b: &[u8]) -> (Vec<u8>, Vec<u8>) {
+    fn cached_round(&mut self, in_a: &Message, in_b: &Message) -> (Message, Message) {
         if self.halted_view.is_some() {
             // A halted machine is inert; don't grow the prefix or the cache.
-            return (Vec::new(), Vec::new());
+            return (Message::silence(), Message::silence());
         }
-        self.prefix_hash = cache::extend_prefix(self.prefix_hash, in_a, in_b);
+        self.prefix_hash = cache::extend_prefix(self.prefix_hash, in_a.as_bytes(), in_b.as_bytes());
         let key = self.round_key();
-        let program = self.machine.program().as_bytes();
-        if let Some(hit) = cache::lookup(&key, program) {
-            self.pending_replay.push((in_a.to_vec(), in_b.to_vec()));
+        if let Some(hit) = cache::lookup(&key, &self.program) {
+            self.pending_replay.push((in_a.clone(), in_b.clone()));
             self.halted_view = hit.halted;
             (hit.out_a, hit.out_b)
         } else {
-            for (a, b) in std::mem::take(&mut self.pending_replay) {
-                self.io.set_inputs(&a, &b);
+            for (a, b) in self.pending_replay.drain(..) {
+                self.io.set_inputs(a.as_bytes(), b.as_bytes());
                 self.machine.round(&mut self.io);
             }
-            self.io.set_inputs(in_a, in_b);
+            self.io.set_inputs(in_a.as_bytes(), in_b.as_bytes());
             self.machine.round(&mut self.io);
+            let out_a = Message::from_bytes(&self.io.out_a);
+            let out_b = Message::from_bytes(&self.io.out_b);
             let halted = self.machine.halted().map(<[u8]>::to_vec);
             cache::insert(
                 key,
-                self.machine.program().as_bytes(),
-                CachedRound {
-                    out_a: self.io.out_a.clone(),
-                    out_b: self.io.out_b.clone(),
-                    halted: halted.clone(),
-                },
+                &self.program,
+                CachedRound { out_a: out_a.clone(), out_b: out_b.clone(), halted: halted.clone() },
             );
             self.halted_view = halted;
-            (self.io.out_a.clone(), self.io.out_b.clone())
+            (out_a, out_b)
         }
     }
 }
@@ -144,9 +152,8 @@ impl VmUser {
 impl UserStrategy for VmUser {
     fn step(&mut self, _ctx: &mut StepCtx<'_>, input: &UserIn) -> UserOut {
         if self.use_cache {
-            let (out_a, out_b) =
-                self.cached_round(input.from_server.as_bytes(), input.from_world.as_bytes());
-            UserOut { to_server: Message::from_bytes(out_a), to_world: Message::from_bytes(out_b) }
+            let (to_server, to_world) = self.cached_round(&input.from_server, &input.from_world);
+            UserOut { to_server, to_world }
         } else {
             self.io.set_inputs(input.from_server.as_bytes(), input.from_world.as_bytes());
             self.machine.round(&mut self.io);
@@ -183,8 +190,8 @@ impl UserStrategy for VmUser {
         w.u128(self.prefix_hash);
         w.u64(self.pending_replay.len() as u64);
         for (a, b) in &self.pending_replay {
-            w.bytes(a);
-            w.bytes(b);
+            w.bytes(a.as_bytes());
+            w.bytes(b.as_bytes());
         }
         match &self.halted_view {
             None => w.u8(0),
@@ -212,8 +219,8 @@ impl UserStrategy for VmUser {
         let n = r.count("vm-user replay count")?;
         self.pending_replay.clear();
         for _ in 0..n {
-            let a = r.bytes("vm-user replay inbox a")?.to_vec();
-            let b = r.bytes("vm-user replay inbox b")?.to_vec();
+            let a = Message::from_bytes(r.bytes("vm-user replay inbox a")?);
+            let b = Message::from_bytes(r.bytes("vm-user replay inbox b")?);
             self.pending_replay.push((a, b));
         }
         self.halted_view = match r.u8("vm-user halt tag")? {

@@ -19,9 +19,13 @@
 //! Keys store a 64-bit hash of the program bytes plus a 128-bit rolling hash
 //! of the interaction prefix; entries additionally pin the full program
 //! bytes, which are compared on lookup, so a program-hash collision can
-//! never serve the wrong entry. A prefix-hash collision *within one
-//! program's entries* is the one probabilistic failure mode; at 128 bits it
-//! is negligible against the ≤ 2⁴⁰ rounds any experiment here executes.
+//! never serve the wrong entry. The pinned bytes are the inserting
+//! `VmUser`'s shared `Arc<[u8]>`, so an insert allocates no copy of the
+//! program, and the recorded outboxes are [`Message`]s, so small outputs
+//! live inline and a hit clones them without allocating. A prefix-hash
+//! collision *within one program's entries* is the one probabilistic
+//! failure mode; at 128 bits it is negligible against the ≤ 2⁴⁰ rounds any
+//! experiment here executes.
 //!
 //! The cache is enabled by default and shared across threads (the parallel
 //! trial harness warms it for every worker). `GOC_VM_CACHE=0` disables it
@@ -29,9 +33,10 @@
 //! it per instance. [`stats`] / [`reset_stats`] expose hit counters for the
 //! bench suite's JSONL records.
 
+use goc_core::msg::Message;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Number of independent cache shards (reduces lock contention when the
 /// parallel harness runs many trials at once). Must be a power of two.
@@ -46,9 +51,9 @@ const SHARD_CAP: usize = 1 << 16;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedRound {
     /// Bytes the round appended to the A (peer) outbox.
-    pub out_a: Vec<u8>,
+    pub out_a: Message,
     /// Bytes the round appended to the B (world) outbox.
-    pub out_b: Vec<u8>,
+    pub out_b: Message,
     /// `Some(final output)` if the machine halted during (or before) this
     /// round.
     pub halted: Option<Vec<u8>>,
@@ -69,8 +74,8 @@ pub struct RoundKey {
 
 struct Entry {
     /// Full program bytes, compared on lookup to rule out program-hash
-    /// collisions.
-    program: Box<[u8]>,
+    /// collisions; shared with the `VmUser` that recorded the entry.
+    program: Arc<[u8]>,
     round: CachedRound,
 }
 
@@ -200,16 +205,18 @@ fn evict_mix(key: &RoundKey) -> u64 {
     x
 }
 
-/// Records the outcome of one round under `key`. Overwriting an existing
-/// entry is harmless (the function is deterministic, so the value is the
-/// same — or belongs to a colliding program, which `lookup` re-verifies).
+/// Records the outcome of one round of `program` under `key`, pinning a
+/// reference to the caller's program bytes rather than a copy. Overwriting
+/// an existing entry is harmless (the function is deterministic, so the
+/// value is the same — or belongs to a colliding program, which `lookup`
+/// re-verifies).
 ///
 /// A shard at [`SHARD_CAP`] evicts roughly half of its entries — those
 /// whose mixed hash has the epoch-selected bit set — instead of clearing
 /// wholesale, so a long-running search keeps half of its warm entries
 /// across the cap. Evicted entries only cost a re-execution on the next
 /// miss; observable behaviour is unchanged.
-pub fn insert(key: RoundKey, program: &[u8], round: CachedRound) {
+pub fn insert(key: RoundKey, program: &Arc<[u8]>, round: CachedRound) {
     let shard = shard_of(&key);
     let mut state = lock_shard(shard);
     if state.map.len() >= SHARD_CAP {
@@ -220,7 +227,7 @@ pub fn insert(key: RoundKey, program: &[u8], round: CachedRound) {
         let evicted = before - state.map.len();
         goc_core::obs_count_nd!("vm.cache.evict", evicted as u64);
     }
-    state.map.insert(key, Entry { program: program.into(), round });
+    state.map.insert(key, Entry { program: Arc::clone(program), round });
     goc_core::obs_gauge_max_nd!("vm.cache.entries_peak", state.map.len() as u64);
 }
 
@@ -291,14 +298,23 @@ mod tests {
     }
 
     fn round(tag: u8) -> CachedRound {
-        CachedRound { out_a: vec![tag], out_b: vec![], halted: None }
+        CachedRound { out_a: Message::from_bytes([tag]), out_b: Message::silence(), halted: None }
+    }
+
+    fn shared(bytes: &[u8]) -> Arc<[u8]> {
+        bytes.into()
+    }
+
+    /// The program bytes pinned by the entry under `key`, if any.
+    fn entry_program(key: &RoundKey) -> Option<Arc<[u8]>> {
+        lock_shard(shard_of(key)).map.get(key).map(|entry| Arc::clone(&entry.program))
     }
 
     #[test]
     fn insert_then_lookup_roundtrips() {
         let _g = test_guard();
         let k = key(program_hash(b"prog-x"), PREFIX_EMPTY);
-        insert(k, b"prog-x", round(7));
+        insert(k, &shared(b"prog-x"), round(7));
         assert_eq!(lookup(&k, b"prog-x"), Some(round(7)));
     }
 
@@ -308,16 +324,56 @@ mod tests {
         // Same key, different recorded program bytes: the byte comparison
         // must refuse to serve the entry.
         let k = key(0x1234, PREFIX_EMPTY ^ 0x5555);
-        insert(k, b"real", round(1));
+        insert(k, &shared(b"real"), round(1));
         assert_eq!(lookup(&k, b"impostor"), None);
         assert_eq!(lookup(&k, b"real"), Some(round(1)));
+    }
+
+    #[test]
+    fn users_of_one_program_share_the_entry_bytes() {
+        use crate::adapter::VmUser;
+        use crate::instr::Instr;
+        use crate::program::Program;
+        use goc_core::msg::UserIn;
+        use goc_core::rng::GocRng;
+        use goc_core::strategy::{StepCtx, UserStrategy};
+
+        let _g = test_guard();
+        let program = Program::assemble(&[Instr::EmitA(b'S'), Instr::EmitB(b'h'), Instr::EndRound]);
+        let fuel = 77;
+        let step = |user: &mut VmUser| {
+            let mut rng = GocRng::seed_from_u64(0);
+            user.step(&mut StepCtx::new(0, &mut rng), &UserIn::default())
+        };
+        let mut first = VmUser::with_fuel(program.clone(), fuel).with_cache_enabled(true);
+        let mut fork = first.clone();
+        let key = RoundKey {
+            program_hash: program_hash(program.as_bytes()),
+            fuel,
+            prefix_hash: extend_prefix(PREFIX_EMPTY, b"", b""),
+        };
+        let out = step(&mut first);
+        let pinned = entry_program(&key).expect("the miss recorded an entry");
+        assert!(Arc::ptr_eq(&pinned, first.shared_program()), "entry copied the bytes");
+        // The fork is served from the entry without running its machine.
+        assert_eq!(step(&mut fork), out);
+        assert_eq!(fork.machine().instructions_retired(), 0);
+        assert!(Arc::ptr_eq(&pinned, fork.shared_program()));
+
+        // Lookups compare bytes, not pointers: an independently built user
+        // of the same program hits, and a program-hash collision misses.
+        let independent = VmUser::with_fuel(program.clone(), fuel);
+        assert!(!Arc::ptr_eq(&pinned, independent.shared_program()));
+        assert!(lookup(&key, independent.shared_program()).is_some());
+        let impostor = shared(b"same hash, other bytes");
+        assert_eq!(lookup(&key, &impostor), None);
     }
 
     #[test]
     fn poisoned_shard_recovers_instead_of_cascading() {
         let _g = test_guard();
         let k = key(program_hash(b"poison-prog"), PREFIX_EMPTY ^ 0xabcd);
-        insert(k, b"poison-prog", round(9));
+        insert(k, &shared(b"poison-prog"), round(9));
         // Poison the shard: a thread panics while holding its lock, the
         // way a panicking `par` worker would mid-`insert`.
         let shard = shard_of(&k);
@@ -330,7 +386,7 @@ mod tests {
         // Every entry point must keep working on the poisoned shard.
         assert_eq!(lookup(&k, b"poison-prog"), Some(round(9)));
         let k2 = key(program_hash(b"poison-prog"), extend_prefix(PREFIX_EMPTY ^ 0xabcd, b"x", b""));
-        insert(k2, b"poison-prog", round(10));
+        insert(k2, &shared(b"poison-prog"), round(10));
         assert_eq!(lookup(&k2, b"poison-prog"), Some(round(10)));
         let _ = entry_count();
         clear();
@@ -348,13 +404,14 @@ mod tests {
             let prefix = (i + 1) as u128; // low 64 bits only
             RoundKey { program_hash: i + 1, fuel: 256, prefix_hash: prefix }
         };
+        let program = shared(b"evict-prog");
         for i in 0..SHARD_CAP as u64 {
-            insert(shard_pinned(i), b"evict-prog", round((i % 251) as u8));
+            insert(shard_pinned(i), &program, round((i % 251) as u8));
         }
         assert_eq!(entry_count(), SHARD_CAP);
         // The next insert trips the cap: roughly half survives (plus the
         // new entry), instead of the old wholesale clear.
-        insert(shard_pinned(SHARD_CAP as u64), b"evict-prog", round(1));
+        insert(shard_pinned(SHARD_CAP as u64), &program, round(1));
         let after = entry_count();
         assert!(after < SHARD_CAP, "no eviction happened: {after}");
         assert!(
@@ -387,8 +444,9 @@ mod tests {
                 fuel: 256,
                 prefix_hash: (i + 1) as u128,
             };
+            let program = shared(b"evict-metric-prog");
             for i in 0..=SHARD_CAP as u64 {
-                insert(pinned(i), b"evict-metric-prog", round(2));
+                insert(pinned(i), &program, round(2));
             }
         });
         let evicted = nd_total("vm.cache.evict") - before;
@@ -415,7 +473,7 @@ mod tests {
         reset_stats();
         let k = key(program_hash(b"stats-prog"), extend_prefix(PREFIX_EMPTY, b"s", b""));
         assert_eq!(lookup(&k, b"stats-prog"), None);
-        insert(k, b"stats-prog", round(3));
+        insert(k, &shared(b"stats-prog"), round(3));
         assert!(lookup(&k, b"stats-prog").is_some());
         let s = stats();
         assert!(s.misses >= 1 && s.hits >= 1, "{s:?}");

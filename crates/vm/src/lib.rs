@@ -11,8 +11,9 @@
 //!   bounded jumps).
 //! - [`program`] — programs, assembler, disassembler.
 //! - [`machine`] — the fuel-bounded interpreter: every round runs through a
-//!   predecoded ([`DecodedProgram`]) per-opcode dispatch table, with the
-//!   original `match` loop kept as its executable specification.
+//!   predecoded ([`DecodedProgram`]) per-opcode dispatch table, which
+//!   retires a pure-jump cycle in one step, with the original `match` loop
+//!   kept as its executable specification.
 //! - [`dispatch`] — the `GOC_DISPATCH` gate selecting between the two
 //!   interpreter cores (default: table dispatch).
 //! - [`adapter`] — mounting programs as `goc-core` users/servers, plus a

@@ -17,6 +17,15 @@
 //! dispatch). `GOC_DISPATCH=0` (see [`dispatch`](crate::dispatch)) selects
 //! `Machine::round_match`'s original `match` loop instead — kept as the
 //! executable specification the table is differentially tested against.
+//!
+//! **Pure-jump cycles cost one step.** The predecode also marks every offset
+//! whose chain of unconditional `jmp`s closes a cycle with the extra op
+//! index `SPIN`. A `jmp` writes only the pc, so such a chain never touches
+//! registers, inbox cursors, outboxes or halt state and can only end by
+//! running out of fuel: the table core retires the round's remaining fuel
+//! in one step instead of burning it one `jmp` at a time. `round_match` is
+//! not fast-forwarded, so the differential tests still check the shortcut
+//! against the step-by-step spec.
 
 use crate::instr::{Chan, Instr, OPCODE_COUNT, REG_COUNT};
 use crate::program::Program;
@@ -302,6 +311,12 @@ impl Machine {
                     self.halted = Some(io.out_b.clone());
                     return;
                 }
+                StepOutcome::Spin => {
+                    // Every remaining unit of fuel would retire one more
+                    // `jmp` of the cycle and change nothing else.
+                    self.instructions_retired += u64::from(fuel);
+                    return;
+                }
             }
         }
     }
@@ -370,6 +385,9 @@ enum StepOutcome {
     End,
     /// `halt` — the caller records the current B outbox as final output.
     Halt,
+    /// A `jmp` that starts a pure-jump cycle: the rest of the round only
+    /// burns fuel, so the caller retires all of it and ends the round.
+    Spin,
 }
 
 /// The mutable per-round execution state of one machine, threaded through
@@ -398,7 +416,8 @@ impl StepLane<'_> {
 /// `REG_COUNT`, channel selectors as 0 = A / 1 = B).
 #[derive(Clone, Copy, Debug)]
 struct DecodedOp {
-    /// Dense opcode index in `0..OPCODE_COUNT` — the handler-table slot.
+    /// Dense opcode index in `0..OPCODE_COUNT` — the handler-table slot —
+    /// or [`SPIN`] for a `jmp` that starts a pure-jump cycle.
     op: u8,
     /// First operand: register index, immediate byte, or channel selector.
     a: u8,
@@ -409,6 +428,13 @@ struct DecodedOp {
     /// Precomputed, range-reduced target for `jmp` / taken `jz`; 0 otherwise.
     target: u32,
 }
+
+/// Dense index of `jmp` (see [`flatten`]).
+const JMP: u8 = 11;
+
+/// The one op index past the real opcodes: a `jmp` whose chain of `jmp`
+/// targets closes a cycle (see [`mark_spins`]).
+const SPIN: u8 = OPCODE_COUNT;
 
 /// Flattens a decoded [`Instr`] into `(dense opcode, operand a, operand b)`.
 /// The dense index mirrors the opcode byte map in [`crate::instr`] exactly.
@@ -429,7 +455,7 @@ fn flatten(instr: Instr) -> (u8, u8, u8) {
         Instr::Add(r, s) => (8, r.index() as u8, s.index() as u8),
         Instr::Inc(r) => (9, r.index() as u8, 0),
         Instr::JmpIfZero(r, _) => (10, r.index() as u8, 0),
-        Instr::Jmp(_) => (11, 0, 0),
+        Instr::Jmp(_) => (JMP, 0, 0),
         Instr::CopyA(c) => (12, chan(c), 0),
         Instr::CopyB(c) => (13, chan(c), 0),
         Instr::AddConst(r, x) => (14, r.index() as u8, x),
@@ -566,11 +592,11 @@ fn op_copy_a(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
 #[inline(always)]
 fn op_copy_b(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
     let io = &mut *s.io;
-    let rest = io.in_b[(*s.cur_b).min(io.in_b.len())..].to_vec();
+    let rest = &io.in_b[(*s.cur_b).min(io.in_b.len())..];
     if op.a == 0 {
-        io.out_a.extend_from_slice(&rest);
+        io.out_a.extend_from_slice(rest);
     } else {
-        io.out_b.extend_from_slice(&rest);
+        io.out_b.extend_from_slice(rest);
     }
     *s.cur_b = io.in_b.len();
     s.advance(op)
@@ -590,8 +616,8 @@ fn op_end_round(_op: DecodedOp, _s: &mut StepLane<'_>) -> StepOutcome {
 
 /// A program predecoded for jump-table dispatch: one op per **byte offset**
 /// (jumps may land mid-instruction, so every offset is a legal entry point),
-/// with fall-through and jump targets resolved up front. One decode serves
-/// every round of a machine.
+/// with fall-through and jump targets resolved up front and pure-jump cycles
+/// marked [`SPIN`]. One decode serves every round of a machine.
 #[derive(Clone, Debug)]
 pub struct DecodedProgram {
     code: Box<[u8]>,
@@ -600,11 +626,12 @@ pub struct DecodedProgram {
 
 impl DecodedProgram {
     /// Predecodes `program` at every byte offset, flattening each [`Instr`]
-    /// into its dense opcode index and raw operands.
+    /// into its dense opcode index and raw operands, then marks the offsets
+    /// that enter a pure-jump cycle.
     pub fn new(program: &Program) -> Self {
         let code = program.as_bytes();
         let len = code.len();
-        let ops = (0..len)
+        let mut ops: Box<[DecodedOp]> = (0..len)
             .map(|pos| {
                 let (instr, used) = Instr::decode(code, pos);
                 let target = match instr {
@@ -617,6 +644,7 @@ impl DecodedProgram {
                 DecodedOp { op, a, b, next: (pos + used) as u32, target }
             })
             .collect();
+        mark_spins(&mut ops);
         DecodedProgram { code: code.into(), ops }
     }
 
@@ -646,6 +674,43 @@ impl DecodedProgram {
     }
 }
 
+/// Rewrites to [`SPIN`] every `jmp` whose chain of `jmp` targets closes a
+/// cycle, so that running from it can only burn fuel. Each offset is walked
+/// once: a walk stops at a non-`jmp` (the chain exits), at an offset already
+/// settled, or at an offset on its own path (a cycle), and settles its whole
+/// path with that answer.
+fn mark_spins(ops: &mut [DecodedOp]) {
+    const UNSEEN: u8 = 0;
+    const ON_PATH: u8 = 1;
+    const SPINS: u8 = 2;
+    const EXITS: u8 = 3;
+    let mut state = vec![UNSEEN; ops.len()];
+    let mut path = Vec::new();
+    for start in 0..ops.len() {
+        let mut pc = start;
+        let spins = loop {
+            match state[pc] {
+                ON_PATH | SPINS => break true,
+                EXITS => break false,
+                _ if ops[pc].op != JMP => break false,
+                _ => {
+                    state[pc] = ON_PATH;
+                    path.push(pc);
+                    pc = ops[pc].target as usize;
+                }
+            }
+        };
+        for pc in path.drain(..) {
+            state[pc] = if spins { SPINS } else { EXITS };
+        }
+    }
+    for (op, s) in ops.iter_mut().zip(state) {
+        if s == SPINS {
+            op.op = SPIN;
+        }
+    }
+}
+
 /// Executes one decoded op: semantically `DISPATCH[op.op](op, lane)`, written
 /// as a `match` on the dense opcode index. Both forms compile to an indexed
 /// jump through a constant table, but the `match` keeps the handler bodies
@@ -655,7 +720,8 @@ impl DecodedProgram {
 /// lives in registers. The `const` table stays the canonical opcode → handler
 /// map: the (unreachable by [`flatten`] construction) default arm routes
 /// through it, and `exec_op_agrees_with_dispatch_table` pins each arm to its
-/// table slot.
+/// table slot. [`SPIN`] has no table slot: it is not an opcode but a
+/// whole-round outcome.
 #[inline(always)]
 fn exec_op(op: DecodedOp, lane: &mut StepLane<'_>) -> StepOutcome {
     match op.op {
@@ -675,6 +741,7 @@ fn exec_op(op: DecodedOp, lane: &mut StepLane<'_>) -> StepOutcome {
         13 => op_copy_b(op, lane),
         14 => op_add_const(op, lane),
         15 => op_end_round(op, lane),
+        SPIN => StepOutcome::Spin,
         _ => DISPATCH[op.op as usize](op, lane),
     }
 }
@@ -841,6 +908,101 @@ mod tests {
             })
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// Offsets the predecode marks [`SPIN`].
+    fn spin_offsets(p: &Program) -> Vec<usize> {
+        let decoded = DecodedProgram::new(p);
+        (0..decoded.len()).filter(|&pc| decoded.ops[pc].op == SPIN).collect()
+    }
+
+    /// Everything observable about `rounds` rounds of `p` on one core.
+    type CoreRun = (Vec<(Vec<u8>, Vec<u8>)>, [u64; REG_COUNT], u64, Option<Vec<u8>>);
+
+    /// Runs `rounds` empty-inbox rounds of `p` on the table core and on the
+    /// `round_match` spec, asserts they agree, and returns the table's run.
+    fn run_both_cores(p: &Program, fuel: u32, rounds: usize) -> CoreRun {
+        let run = |table: bool| {
+            crate::dispatch::with_dispatch(table, || {
+                let mut m = Machine::with_fuel(p.clone(), fuel);
+                let mut outs = Vec::new();
+                for _ in 0..rounds {
+                    let mut io = RoundIo::default();
+                    m.round(&mut io);
+                    outs.push((io.out_a, io.out_b));
+                }
+                (outs, *m.regs(), m.instructions_retired(), m.halted.clone())
+            })
+        };
+        let table = run(true);
+        assert_eq!(table, run(false), "table core and spec disagree on {:?}", p.as_bytes());
+        table
+    }
+
+    #[test]
+    fn self_jump_retires_the_whole_fuel_budget() {
+        let p = Program::assemble(&[Instr::Jmp(0)]);
+        assert_eq!(spin_offsets(&p), vec![0]);
+        for fuel in [1u32, 4096] {
+            let (outs, regs, retired, halted) = run_both_cores(&p, fuel, 3);
+            assert!(outs.iter().all(|(a, b)| a.is_empty() && b.is_empty()));
+            assert_eq!(regs, [0; REG_COUNT]);
+            assert_eq!(retired, 3 * u64::from(fuel));
+            assert_eq!(halted, None);
+        }
+    }
+
+    #[test]
+    fn two_jump_cycle_after_an_emit_keeps_the_byte() {
+        // emit.a 'x' at 0; jmp +2 at 2 lands on jmp -2 at 4, which jumps back.
+        let p = Program::assemble(&[Instr::EmitA(b'x'), Instr::Jmp(2), Instr::Jmp(-2)]);
+        assert_eq!(spin_offsets(&p), vec![2, 4]);
+        let (outs, _, retired, _) = run_both_cores(&p, 4096, 2);
+        assert_eq!(outs, vec![(b"x".to_vec(), Vec::new()); 2]);
+        assert_eq!(retired, 2 * 4096);
+    }
+
+    #[test]
+    fn jump_into_the_middle_of_an_instruction_can_enter_a_cycle() {
+        // Canonically `jmp +3; emit.a 0x0b; halt`, but offset 3 (the emit's
+        // operand) decodes as `jmp +0`, so the first jump enters a self-loop.
+        let p = Program::from_bytes(vec![0x0b, 0x03, 0x01, 0x0b, 0x00]);
+        assert_eq!(spin_offsets(&p), vec![0, 3]);
+        let (outs, _, retired, halted) = run_both_cores(&p, 7, 2);
+        assert!(outs.iter().all(|(a, b)| a.is_empty() && b.is_empty()));
+        assert_eq!(retired, 14);
+        assert_eq!(halted, None);
+    }
+
+    #[test]
+    fn jump_chain_that_exits_is_not_a_spin() {
+        // jmp +2 lands on the emit: the chain leaves the jumps, so it runs.
+        let p = Program::assemble(&[Instr::Jmp(2), Instr::EmitA(b'y')]);
+        assert_eq!(spin_offsets(&p), Vec::<usize>::new());
+        let (outs, _, retired, _) = run_both_cores(&p, 64, 1);
+        assert_eq!(outs, vec![(b"y".to_vec(), Vec::new())]);
+        assert_eq!(retired, 2);
+    }
+
+    #[test]
+    fn jump_into_a_chain_that_exits_is_not_a_spin() {
+        // jmp -4 at 4 reaches jmp +2 at 0, whose chain was already found to
+        // exit at the emit: the loop emits every pass, so nothing spins.
+        let p = Program::assemble(&[Instr::Jmp(2), Instr::EmitA(b'z'), Instr::Jmp(-4)]);
+        assert_eq!(spin_offsets(&p), Vec::<usize>::new());
+        let (outs, _, retired, _) = run_both_cores(&p, 64, 1);
+        assert_eq!(outs[0].0, vec![b'z'; 21]);
+        assert_eq!(retired, 64);
+    }
+
+    #[test]
+    fn jz_loop_is_not_marked_spin() {
+        // `jz r0, +0` loops while r0 == 0, but it reads a register, so only
+        // unconditional jumps may be fast-forwarded.
+        let p = Program::assemble(&[Instr::JmpIfZero(Reg::new(0), 0)]);
+        assert_eq!(spin_offsets(&p), Vec::<usize>::new());
+        let (_, _, retired, _) = run_both_cores(&p, 100, 2);
+        assert_eq!(retired, 200);
     }
 
     #[test]

@@ -70,6 +70,50 @@ fn table_and_match_dispatch_agree() {
     });
 }
 
+/// Table ≡ match on *every* program of length ≤ 4 over a jump-heavy
+/// alphabet — `jmp` (`0x0b`, and `0x1b`, which reduces to it), `jz`,
+/// `emit.a`, `inc`, `const`, `halt`, and `end` (`0xff`, also a backward
+/// displacement of one) — so self-jumps, jump chains, cycles entered
+/// mid-instruction and `jz` loops all meet the fast-forwarded table core.
+/// Fuels include the edge budgets 1..3 and the 4096 that settle workloads
+/// use; the inbox history spans several rounds.
+#[test]
+fn table_and_match_agree_on_every_short_jump_heavy_program() {
+    const ALPHABET: [u8; 8] = [0x0b, 0x1b, 0x0a, 0x01, 0x09, 0x07, 0x00, 0xff];
+    let rounds: Vec<(Vec<u8>, Vec<u8>)> = vec![
+        (b"".to_vec(), b"".to_vec()),
+        (b"ab".to_vec(), b"c".to_vec()),
+        (b"".to_vec(), b"xyz".to_vec()),
+        (b"q".to_vec(), b"".to_vec()),
+    ];
+    let mut programs = vec![Vec::new()];
+    let mut frontier = vec![Vec::new()];
+    for _ in 0..4 {
+        frontier = frontier
+            .iter()
+            .flat_map(|p: &Vec<u8>| {
+                ALPHABET.iter().map(move |&b| {
+                    let mut q = p.clone();
+                    q.push(b);
+                    q
+                })
+            })
+            .collect();
+        programs.extend(frontier.iter().cloned());
+    }
+    assert_eq!(programs.len(), 1 + 8 + 64 + 512 + 4096);
+    for code in &programs {
+        let p = Program::from_bytes(code.clone());
+        for fuel in [1, 2, 3, 7, 4096] {
+            assert_eq!(
+                drive_scalar(true, &p, fuel, &rounds),
+                drive_scalar(false, &p, fuel, &rounds),
+                "table vs match diverged on {code:02x?} at fuel {fuel}"
+            );
+        }
+    }
+}
+
 /// Drives a [`VmUser`] over `inputs`, collecting per-round outputs and halts.
 fn drive_user(user: &mut dyn UserStrategy, inputs: &[(Vec<u8>, Vec<u8>)]) -> Vec<RoundState> {
     let mut rng = GocRng::seed_from_u64(0);
