@@ -16,6 +16,16 @@ else
   export GOC_BENCH_QUICK=1
 fi
 
+echo "== engine knob inventory =="
+# Every environment variable the engine reads, by its quoted name. A new
+# knob is a second code path plus more CI runs, so adding one must show up
+# as a diff to this list.
+knobs=$(grep -rhoE '"GOC_[A-Z0-9_]+"' crates/{core,vm,goals,learning,serve}/src src | tr -d '"' | sort -u | xargs)
+expected_knobs="GOC_DISPATCH GOC_MSG_POOL GOC_RESUME GOC_THREADS GOC_TRACE"
+[ "$knobs" = "$expected_knobs" ] \
+  || { echo "CI FAIL: engine knobs are [$knobs], expected [$expected_knobs]"; exit 1; }
+echo "$knobs"
+
 echo "== build (release, offline) =="
 cargo build --release --offline --workspace
 
@@ -28,8 +38,8 @@ GOC_THREADS=4 cargo test -q --offline --workspace
 echo "== bench harness smoke (${GOC_BENCH_QUICK:+quick, }offline) =="
 rm -f target/goc-bench.jsonl  # JSON lines append; start the smoke run clean
 cargo bench --offline -p goc-bench --bench e9_substrate
-# e4 carries the sequential-vs-parallel @tN pairs and the VM candidate-cache
-# probe, so the summary below can show speedup and hit-rate columns.
+# e4 carries the sequential-vs-parallel @tN pairs, so the summary below can
+# show the speedup section.
 cargo bench --offline -p goc-bench --bench e4_enumeration_overhead
 # e12 exercises the channel layer (noisy links + scheduled outage recovery).
 cargo bench --offline -p goc-bench --bench e12_noise_sweep
@@ -207,9 +217,8 @@ echo "10000 sessions settle byte-identically over unix:$serve_sock (0 failures)"
 echo "== bench summary consumes the JSON lines =="
 summary=$(cargo run --release --offline -p goc-bench --bin goc-report -- --bench-summary)
 printf '%s\n' "$summary"
-# The summary must surface the candidate-cache hit rate and the parallel
-# speedup section — their absence means the bench metadata plumbing broke.
-grep -q "% hit" <<<"$summary" || { echo "CI FAIL: cache hit-rate missing from bench summary"; exit 1; }
+# The summary must surface the parallel speedup section — its absence
+# means the bench metadata plumbing broke.
 grep -q "parallel speedup" <<<"$summary" || { echo "CI FAIL: speedup section missing from bench summary"; exit 1; }
 
 echo "== E13 gate: settle improvement >= 2x (eager-replay vs pooled-resume, t1) =="

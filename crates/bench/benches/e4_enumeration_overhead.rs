@@ -1,7 +1,8 @@
 //! E4 — enumeration overhead as a function of the viable strategy's index:
 //! compact/triangular (polynomial) vs finite/classic-Levin (exponential).
 //! Includes the parallel trial-harness variants (`@tN` = N worker threads)
-//! and the candidate-cache workload over the deduped VM program class.
+//! and the compact user's triangular revisits over the deduped VM program
+//! class.
 
 use goc_bench::experiments as exp;
 use goc_core::par::with_thread_count;
@@ -22,24 +23,6 @@ fn main() {
             || with_thread_count(threads, || exp::e4_compact_report(16, 24, 8)),
         );
     }
-    // One cold run populates the cache, then a second run is probed for the
-    // hit/miss counters. The timed iterations below all execute against the
-    // warm cache too, so the recorded counters describe exactly the runs
-    // being timed — the steady state triangular revisits actually see.
-    goc_vm::cache::clear();
-    goc_vm::cache::reset_stats();
-    let _ = exp::e4_vm_compact_settle();
-    goc_vm::cache::reset_stats();
-    let _ = exp::e4_vm_compact_settle();
-    let stats = goc_vm::cache::stats();
-    g.bench_tagged(
-        "vm_compact_triangular",
-        BenchMeta {
-            cache_hits: Some(stats.hits),
-            cache_misses: Some(stats.misses),
-            ..BenchMeta::default()
-        },
-        exp::e4_vm_compact_settle,
-    );
+    g.bench("vm_compact_triangular", exp::e4_vm_compact_settle);
     g.finish();
 }

@@ -250,14 +250,13 @@ fn bench_summary(path: &str) {
     }
     println!("# bench summary from {path} ({} records)\n", records.len());
     println!(
-        "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>10} {:>12} {:>12} {:>9}",
+        "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>12} {:>12} {:>9}",
         "benchmark",
         "median",
         "p95",
         "min",
         "throughput",
         "threads",
-        "cache",
         "allocs",
         "peak",
         "dispatch"
@@ -276,26 +275,17 @@ fn bench_summary(path: &str) {
             _ => String::new(),
         };
         let threads = r.threads.map(|t| t.to_string()).unwrap_or_default();
-        let cache = r
-            .cache_hit_rate()
-            .map(|rate| match rate * 100.0 {
-                // A tiny-but-nonzero rate must not round down to "0% hit".
-                pct if pct > 0.0 && pct < 1.0 => "<1% hit".to_string(),
-                pct => format!("{pct:.0}% hit"),
-            })
-            .unwrap_or_default();
         let allocs = r.allocs.map(|a| format!("{a}/iter")).unwrap_or_default();
         let peak = r.peak_bytes.map(fmt_bytes).unwrap_or_default();
         let dispatch = r.dispatch.clone().unwrap_or_default();
         println!(
-            "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>10} {:>12} {:>12} {:>9}",
+            "{:<44} {:>12} {:>12} {:>12} {:>14} {:>8} {:>12} {:>12} {:>9}",
             format!("{}/{}", r.group, r.id),
             fmt_ns(r.median_ns),
             fmt_ns(r.p95_ns),
             fmt_ns(r.min_ns),
             throughput,
             threads,
-            cache,
             allocs,
             peak,
             dispatch

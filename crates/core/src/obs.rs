@@ -4,8 +4,8 @@
 //! The paper's central quantities — rounds to success, candidate switches,
 //! sensing verdicts, channel fault decisions — are exactly the things a
 //! finished transcript cannot show. This module instruments the hot paths
-//! (the round loop, the channels, the universal users, the VM cache, the
-//! message pool) with a recorder that is:
+//! (the round loop, the channels, the universal users, the message pool,
+//! the worker pool) with a recorder that is:
 //!
 //! - **Zero-overhead when disabled** (the default). Every emission site is
 //!   gated on [`enabled`], one-to-two relaxed atomic loads that predict
@@ -47,8 +47,8 @@
 //!   at any thread count, so [`flush_metrics`] exports them (sorted by
 //!   name) into the trace file.
 //! - [`Scope::Process`] metrics are true observations of *this process* —
-//!   VM cache hits, pool reuse, evictions. Per-thread pools warm
-//!   separately and concurrent workers race on cache misses, so these are
+//!   buffer-pool reuse, worker spawns. Per-thread pools warm separately
+//!   and concurrent workers race on pool misses, so these are
 //!   **not** thread-count-invariant; they stay out of the trace file and
 //!   are read via [`metrics_snapshot`] instead.
 //!
@@ -316,7 +316,7 @@ pub enum Scope {
     /// Workload-determined: totals are equal at any `GOC_THREADS`;
     /// exported to the trace file by [`flush_metrics`].
     Deterministic,
-    /// Process-level observation (cache/pool effectiveness): legitimately
+    /// Process-level observation (pool effectiveness): legitimately
     /// varies with scheduling; never exported to the trace file.
     Process,
 }
@@ -597,7 +597,7 @@ macro_rules! obs_count {
     };
 }
 
-/// Bumps a [`Scope::Process`] counter (cache/pool effectiveness — values
+/// Bumps a [`Scope::Process`] counter (pool effectiveness — values
 /// that legitimately vary with scheduling and stay out of the trace file).
 #[macro_export]
 macro_rules! obs_count_nd {

@@ -6,8 +6,8 @@
 //!    and every deterministic metric total produced by a workload are
 //!    bit-identical under `GOC_THREADS=1` and `=4` — `par_map` flushes
 //!    per-task buffers in index order, and deterministic metrics depend
-//!    only on the workload. (Process-scoped metrics — pool and VM-cache
-//!    effectiveness — are exactly the ones allowed to differ, which is
+//!    only on the workload. (Process-scoped metrics — buffer- and
+//!    worker-pool effectiveness — are exactly the ones allowed to differ, which is
 //!    why `obs::flush_metrics` exports only the deterministic scope.)
 //! 2. **Inertness when disabled.** With recording off, the workload's
 //!    outputs are identical to a recorded run's, and no metric moves.

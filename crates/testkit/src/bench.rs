@@ -58,10 +58,6 @@ pub struct BenchRecord {
     pub elems: Option<u64>,
     /// Worker threads the benched code ran with (parallel-variant benches).
     pub threads: Option<u64>,
-    /// Candidate-cache hits observed during one probe run of the closure.
-    pub cache_hits: Option<u64>,
-    /// Candidate-cache misses observed during the same probe run.
-    pub cache_misses: Option<u64>,
     /// Heap allocations per iteration (steady state: minimum over probe
     /// passes), when the harness was built with the
     /// `count-allocs` feature. See [`crate::alloc_count`].
@@ -97,12 +93,6 @@ impl BenchRecord {
         if let Some(t) = self.threads {
             let _ = write!(s, ",\"threads\":{t}");
         }
-        if let Some(h) = self.cache_hits {
-            let _ = write!(s, ",\"cache_hits\":{h}");
-        }
-        if let Some(m) = self.cache_misses {
-            let _ = write!(s, ",\"cache_misses\":{m}");
-        }
         if let Some(a) = self.allocs {
             let _ = write!(s, ",\"allocs\":{a}");
         }
@@ -114,16 +104,6 @@ impl BenchRecord {
         }
         s.push('}');
         s
-    }
-
-    /// Cache hits as a fraction of all lookups, when both counters were
-    /// recorded and at least one lookup happened.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let (h, m) = (self.cache_hits?, self.cache_misses?);
-        if h + m == 0 {
-            return None;
-        }
-        Some(h as f64 / (h + m) as f64)
     }
 
     /// Parses a line produced by [`to_json_line`](Self::to_json_line).
@@ -154,8 +134,6 @@ impl BenchRecord {
             mean_ns: get_n("mean_ns")?,
             elems: get_n("elems"),
             threads: get_n("threads"),
-            cache_hits: get_n("cache_hits"),
-            cache_misses: get_n("cache_misses"),
             allocs: get_n("allocs"),
             peak_bytes: get_n("peak_bytes"),
             dispatch: get_s("dispatch.mode"),
@@ -303,19 +281,14 @@ pub fn fmt_ns(ns: u64) -> String {
 
 /// Optional per-benchmark annotations carried into the JSONL record.
 ///
-/// Used by the parallel-variant benches (thread count) and the
-/// candidate-cache benches (hit/miss counters measured over one probe run of
-/// the closure, since the harness's own iteration count is calibrated).
+/// Used by the parallel-variant benches (thread count) and the dispatch
+/// benches (interpreter core label).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BenchMeta {
     /// Throughput denominator, as in [`Bench::bench_elems`].
     pub elems: Option<u64>,
     /// Worker threads the benched code runs with.
     pub threads: Option<u64>,
-    /// Candidate-cache hits during a representative run.
-    pub cache_hits: Option<u64>,
-    /// Candidate-cache misses during the same run.
-    pub cache_misses: Option<u64>,
     /// Explicit allocations-per-iteration override. When `None` and the
     /// `count-allocs` feature is on, the harness measures it itself.
     pub allocs: Option<u64>,
@@ -393,8 +366,8 @@ impl Bench {
         self.run(id.into(), BenchMeta { elems: Some(elems), ..BenchMeta::default() }, f);
     }
 
-    /// Like [`bench`](Self::bench), attaching thread-count and cache-counter
-    /// annotations to the record.
+    /// Like [`bench`](Self::bench), attaching the [`BenchMeta`] annotations
+    /// to the record.
     pub fn bench_tagged<R>(
         &mut self,
         id: impl Into<String>,
@@ -467,8 +440,6 @@ impl Bench {
             mean_ns,
             elems: meta.elems,
             threads: meta.threads,
-            cache_hits: meta.cache_hits,
-            cache_misses: meta.cache_misses,
             allocs,
             peak_bytes,
             dispatch: meta.dispatch.map(str::to_string),
@@ -488,9 +459,6 @@ impl Bench {
         }
         if let Some(t) = rec.threads {
             let _ = write!(line, "  [t={t}]");
-        }
-        if let Some(rate) = rec.cache_hit_rate() {
-            let _ = write!(line, "  [cache {:.0}%]", rate * 100.0);
         }
         if let Some(a) = rec.allocs {
             let _ = write!(line, "  [{a} allocs/iter]");
@@ -576,8 +544,6 @@ mod tests {
             mean_ns: 130,
             elems: Some(1000),
             threads: None,
-            cache_hits: None,
-            cache_misses: None,
             allocs: None,
             peak_bytes: None,
             dispatch: None,
@@ -633,26 +599,13 @@ mod tests {
     }
 
     #[test]
-    fn json_line_roundtrips_with_parallel_and_cache_fields() {
+    fn json_line_roundtrips_with_threads() {
         let mut rec = sample_record();
         rec.threads = Some(4);
-        rec.cache_hits = Some(90);
-        rec.cache_misses = Some(10);
         let line = rec.to_json_line();
         assert!(line.contains("\"threads\":4"));
-        assert!(line.contains("\"cache_hits\":90"));
         let parsed = BenchRecord::parse_json_line(&line).expect("parses");
         assert_eq!(parsed, rec);
-        assert_eq!(parsed.cache_hit_rate(), Some(0.9));
-    }
-
-    #[test]
-    fn cache_hit_rate_handles_missing_and_zero_counters() {
-        let mut rec = sample_record();
-        assert_eq!(rec.cache_hit_rate(), None);
-        rec.cache_hits = Some(0);
-        rec.cache_misses = Some(0);
-        assert_eq!(rec.cache_hit_rate(), None, "0/0 lookups is no rate, not 0%");
     }
 
     #[test]
@@ -688,12 +641,15 @@ mod tests {
 
     #[test]
     fn retired_keys_in_old_snapshots_are_ignored() {
-        // Older BENCH_*.json lines carry `prewarm.mispredict`; they must
-        // still parse, to the same record as the line without the key.
+        // Older BENCH_*.json lines carry `prewarm.mispredict` and the
+        // candidate-cache counters; they must still parse, to the same
+        // record as the line without the keys.
         let rec = sample_record();
         let line = rec.to_json_line();
-        let old = format!("{},\"prewarm.mispredict\":0}}", &line[..line.len() - 1]);
-        assert_eq!(BenchRecord::parse_json_line(&old), Some(rec));
+        for retired in ["\"prewarm.mispredict\":0", "\"cache_hits\":90,\"cache_misses\":10"] {
+            let old = format!("{},{retired}}}", &line[..line.len() - 1]);
+            assert_eq!(BenchRecord::parse_json_line(&old), Some(rec.clone()), "{retired}");
+        }
     }
 
     #[test]

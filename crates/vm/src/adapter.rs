@@ -4,13 +4,11 @@
 //! server program); **B** is the world. The same program text can therefore
 //! be mounted in either role.
 
-use crate::cache::{self, CachedRound, RoundKey};
 use crate::machine::{Machine, RoundIo};
 use crate::program::Program;
 use goc_core::msg::{Message, ServerIn, ServerOut, UserIn, UserOut};
 use goc_core::snap::{SnapError, SnapReader, SnapWriter};
 use goc_core::strategy::{Halt, ServerStrategy, StepCtx, UserStrategy};
-use std::sync::Arc;
 
 /// A user strategy interpreting a VM [`Program`].
 ///
@@ -34,26 +32,17 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub struct VmUser {
     machine: Machine,
-    /// Whether steps go through the [`crate::cache`] candidate cache.
-    use_cache: bool,
-    /// The program bytes, shared by forks of this user and pinned (not
-    /// copied) by every cache entry it records.
-    program: Arc<[u8]>,
-    /// Precomputed [`cache::program_hash`] of the program bytes.
-    program_hash: u64,
-    /// Rolling hash of every inbox seen so far ([`cache::extend_prefix`]).
-    prefix_hash: u128,
-    /// Inputs of rounds served from the cache that the machine has not
-    /// executed yet; replayed in order on the next cache miss.
-    pending_replay: Vec<(Message, Message)>,
-    /// Halt state as observed through the cache (mirrors what
-    /// `machine.halted()` would be after replay).
-    halted_view: Option<Vec<u8>>,
     /// Reusable round buffers: one `RoundIo` lives as long as the candidate,
     /// so steady-state rounds reuse its allocations instead of building
     /// fresh `Vec`s.
     io: RoundIo,
 }
+
+/// The prefix-hash field a `VmUser` snapshot carries, written as the FNV-1a
+/// 128-bit offset basis. The field, the replay list after it and the halt
+/// tag after that belonged to the retired candidate cache; the layout keeps
+/// them, fixed, so snapshot bytes are unchanged.
+const SNAP_PREFIX_EMPTY: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 
 impl VmUser {
     /// Mounts `program` as a user strategy (default fuel).
@@ -67,100 +56,23 @@ impl VmUser {
     ///
     /// Panics if `fuel == 0`.
     pub fn with_fuel(program: Program, fuel: u32) -> Self {
-        let bytes: Arc<[u8]> = program.as_bytes().into();
-        VmUser {
-            machine: Machine::with_fuel(program, fuel),
-            use_cache: cache::enabled_by_env(),
-            program_hash: cache::program_hash(&bytes),
-            program: bytes,
-            prefix_hash: cache::PREFIX_EMPTY,
-            pending_replay: Vec::new(),
-            halted_view: None,
-            io: RoundIo::default(),
-        }
+        VmUser { machine: Machine::with_fuel(program, fuel), io: RoundIo::default() }
     }
 
-    /// Pins candidate-cache use for this instance, overriding the
-    /// `GOC_VM_CACHE` default. Cached and uncached users are observably
-    /// identical (the VM is a deterministic transducer); the switch exists
-    /// for tests and apples-to-apples benchmarks.
-    pub fn with_cache_enabled(mut self, enabled: bool) -> Self {
-        self.use_cache = enabled;
-        self
-    }
-
-    /// The underlying machine (registers, program, counters).
-    ///
-    /// When the candidate cache is on, rounds served from it are *not*
-    /// executed eagerly, so the machine's registers and retired-instruction
-    /// counter may lag the interaction until the next cache miss replays
-    /// them. Outputs and halt state (via [`UserStrategy::halted`]) are
-    /// unaffected.
+    /// The underlying machine (registers, program, counters), exactly as of
+    /// the last executed round.
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// The program bytes this user shares with its cache entries.
-    #[cfg(test)]
-    pub(crate) fn shared_program(&self) -> &Arc<[u8]> {
-        &self.program
-    }
-
-    fn round_key(&self) -> RoundKey {
-        RoundKey {
-            program_hash: self.program_hash,
-            fuel: self.machine.fuel_per_round(),
-            prefix_hash: self.prefix_hash,
-        }
-    }
-
-    /// Executes one round through the cache: hash the inbox into the prefix,
-    /// serve a memoised round if one exists, otherwise replay any skipped
-    /// rounds and run this one for real, recording it.
-    fn cached_round(&mut self, in_a: &Message, in_b: &Message) -> (Message, Message) {
-        if self.halted_view.is_some() {
-            // A halted machine is inert; don't grow the prefix or the cache.
-            return (Message::silence(), Message::silence());
-        }
-        self.prefix_hash = cache::extend_prefix(self.prefix_hash, in_a.as_bytes(), in_b.as_bytes());
-        let key = self.round_key();
-        if let Some(hit) = cache::lookup(&key, &self.program) {
-            self.pending_replay.push((in_a.clone(), in_b.clone()));
-            self.halted_view = hit.halted;
-            (hit.out_a, hit.out_b)
-        } else {
-            for (a, b) in self.pending_replay.drain(..) {
-                self.io.set_inputs(a.as_bytes(), b.as_bytes());
-                self.machine.round(&mut self.io);
-            }
-            self.io.set_inputs(in_a.as_bytes(), in_b.as_bytes());
-            self.machine.round(&mut self.io);
-            let out_a = Message::from_bytes(&self.io.out_a);
-            let out_b = Message::from_bytes(&self.io.out_b);
-            let halted = self.machine.halted().map(<[u8]>::to_vec);
-            cache::insert(
-                key,
-                &self.program,
-                CachedRound { out_a: out_a.clone(), out_b: out_b.clone(), halted: halted.clone() },
-            );
-            self.halted_view = halted;
-            (out_a, out_b)
-        }
     }
 }
 
 impl UserStrategy for VmUser {
     fn step(&mut self, _ctx: &mut StepCtx<'_>, input: &UserIn) -> UserOut {
-        if self.use_cache {
-            let (to_server, to_world) = self.cached_round(&input.from_server, &input.from_world);
-            UserOut { to_server, to_world }
-        } else {
-            self.io.set_inputs(input.from_server.as_bytes(), input.from_world.as_bytes());
-            self.machine.round(&mut self.io);
-            UserOut {
-                to_server: Message::from_bytes(&self.io.out_a),
-                to_world: Message::from_bytes(&self.io.out_b),
-            }
+        self.io.set_inputs(input.from_server.as_bytes(), input.from_world.as_bytes());
+        self.machine.round(&mut self.io);
+        UserOut {
+            to_server: Message::from_bytes(&self.io.out_a),
+            to_world: Message::from_bytes(&self.io.out_b),
         }
     }
 
@@ -169,11 +81,7 @@ impl UserStrategy for VmUser {
     }
 
     fn halted(&self) -> Option<Halt> {
-        if self.use_cache {
-            self.halted_view.as_ref().map(|out| Halt::with_output(out.clone()))
-        } else {
-            self.machine.halted().map(|out| Halt::with_output(out.to_vec()))
-        }
+        self.machine.halted().map(|out| Halt::with_output(out.to_vec()))
     }
 
     fn name(&self) -> String {
@@ -181,53 +89,43 @@ impl UserStrategy for VmUser {
     }
 
     fn save_snap(&self, w: &mut SnapWriter<'_>) -> Result<(), SnapError> {
-        // The cache switch is configuration, not state: under the cache the
-        // machine's registers lag the interaction (rounds served from the
-        // cache are replayed lazily), so a snapshot taken with the cache on
-        // is only resumable with the cache on — and vice versa.
-        w.bool(self.use_cache);
+        // Layout: a reserved flag byte (always 0), the machine block, then
+        // three fixed fields: the empty prefix hash, an empty replay list
+        // and halt tag 0. See `SNAP_PREFIX_EMPTY`.
+        w.bool(false);
         w.block(|w| self.machine.save_snap(w))?;
-        w.u128(self.prefix_hash);
-        w.u64(self.pending_replay.len() as u64);
-        for (a, b) in &self.pending_replay {
-            w.bytes(a.as_bytes());
-            w.bytes(b.as_bytes());
-        }
-        match &self.halted_view {
-            None => w.u8(0),
-            Some(out) => {
-                w.u8(1);
-                w.bytes(out);
-            }
-        }
+        w.u128(SNAP_PREFIX_EMPTY);
+        w.u64(0);
+        w.u8(0);
         Ok(())
     }
 
     fn restore_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let use_cache = r.bool("vm-user cache flag")?;
-        if use_cache != self.use_cache {
+        // A set flag marks a snapshot taken through the retired candidate
+        // cache, whose machine may lag its interaction: refuse it.
+        if r.bool("vm-user cache flag")? {
             return Err(SnapError::Mismatch {
                 context: "vm-user cache flag",
-                expected: self.use_cache.to_string(),
-                found: use_cache.to_string(),
+                expected: false.to_string(),
+                found: true.to_string(),
             });
         }
         let mut block = r.block("vm-user machine")?;
         self.machine.restore_snap(&mut block)?;
         block.finish()?;
-        self.prefix_hash = r.u128("vm-user prefix hash")?;
-        let n = r.count("vm-user replay count")?;
-        self.pending_replay.clear();
-        for _ in 0..n {
-            let a = Message::from_bytes(r.bytes("vm-user replay inbox a")?);
-            let b = Message::from_bytes(r.bytes("vm-user replay inbox b")?);
-            self.pending_replay.push((a, b));
+        // The three trailing fields carry no state; parse and discard them.
+        r.u128("vm-user prefix hash")?;
+        for _ in 0..r.count("vm-user replay count")? {
+            r.bytes("vm-user replay inbox a")?;
+            r.bytes("vm-user replay inbox b")?;
         }
-        self.halted_view = match r.u8("vm-user halt tag")? {
-            0 => None,
-            1 => Some(r.bytes("vm-user halt output")?.to_vec()),
+        match r.u8("vm-user halt tag")? {
+            0 => {}
+            1 => {
+                r.bytes("vm-user halt output")?;
+            }
             found => return Err(SnapError::BadTag { context: "vm-user halt tag", found }),
-        };
+        }
         Ok(())
     }
 }
@@ -483,34 +381,98 @@ mod tests {
         assert!(VmServer::new(programs::relay()).name().contains("vm-server"));
     }
 
+    /// `caesar_relay_exact(2, 3)` after 9 rounds of `("ab", "ok")`.
+    fn caesar_user_after_nine_rounds() -> (VmUser, UserIn, GocRng) {
+        let input = UserIn { from_server: Message::from("ab"), from_world: Message::from("ok") };
+        let mut user = VmUser::new(programs::caesar_relay_exact(2, 3));
+        let mut rng = GocRng::seed_from_u64(0);
+        for round in 0..9 {
+            let mut ctx = StepCtx::new(round, &mut rng);
+            let _ = user.step(&mut ctx, &input);
+        }
+        (user, input, rng)
+    }
+
+    /// The snapshot of [`caesar_user_after_nine_rounds`] as a cache-off
+    /// `VmUser` wrote it before the candidate cache was deleted: flag byte,
+    /// machine block, empty-prefix hash, empty replay list, halt tag 0.
+    const CAESAR_SNAP_BYTES: [u8; 136] = [
+        0, 102, 0, 0, 0, 0, 0, 0, 0, 17, 0, 0, 0, 0, 0, 0, 0, 5, 0, 5, 1, 14, 0, 3, 4, 0, 14, 1,
+        3, 4, 1, 13, 0, 15, 0, 1, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 101, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 72, 0, 0, 0, 0, 0, 0, 0, 141, 197, 149,
+        98, 117, 33, 184, 98, 66, 1, 187, 7, 46, 39, 98, 108, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    ];
+
     #[test]
     fn vm_user_snapshot_resumes_bit_identically() {
         use goc_core::snap::{SnapReader, SnapWriter};
-        for cache in [false, true] {
-            let mk = || VmUser::new(programs::caesar_relay_exact(2, 3)).with_cache_enabled(cache);
-            let input = UserIn { from_server: Message::from("ab"), from_world: Message::from("ok") };
-            let mut live = mk();
-            let mut rng = GocRng::seed_from_u64(0);
-            for round in 0..9 {
-                let mut ctx = StepCtx::new(round, &mut rng);
-                let _ = live.step(&mut ctx, &input);
-            }
-            let mut bytes = Vec::new();
-            live.save_snap(&mut SnapWriter::new(&mut bytes)).unwrap();
+        let (mut live, input, mut rng) = caesar_user_after_nine_rounds();
+        let mut bytes = Vec::new();
+        live.save_snap(&mut SnapWriter::new(&mut bytes)).unwrap();
 
-            let mut restored = mk();
-            let mut r = SnapReader::new(&bytes);
-            restored.restore_snap(&mut r).unwrap();
-            r.finish().unwrap();
+        let mut restored = VmUser::new(programs::caesar_relay_exact(2, 3));
+        let mut r = SnapReader::new(&bytes);
+        restored.restore_snap(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(restored.machine().regs(), live.machine().regs());
 
-            for round in 9..25 {
-                let mut c1 = StepCtx::new(round, &mut rng);
-                let out_live = live.step(&mut c1, &input);
-                let mut c2 = StepCtx::new(round, &mut rng);
-                let out_restored = restored.step(&mut c2, &input);
-                assert_eq!(out_live, out_restored, "cache={cache} diverged at round {round}");
-            }
-            assert_eq!(UserStrategy::halted(&live), UserStrategy::halted(&restored));
+        for round in 9..25 {
+            let mut c1 = StepCtx::new(round, &mut rng);
+            let out_live = live.step(&mut c1, &input);
+            let mut c2 = StepCtx::new(round, &mut rng);
+            let out_restored = restored.step(&mut c2, &input);
+            assert_eq!(out_live, out_restored, "diverged at round {round}");
+        }
+        assert_eq!(UserStrategy::halted(&live), UserStrategy::halted(&restored));
+    }
+
+    #[test]
+    fn vm_user_snapshot_bytes_match_the_pre_deletion_layout() {
+        use goc_core::snap::{SnapReader, SnapWriter};
+        let (mut live, input, mut rng) = caesar_user_after_nine_rounds();
+        let mut bytes = Vec::new();
+        live.save_snap(&mut SnapWriter::new(&mut bytes)).unwrap();
+        assert_eq!(bytes, CAESAR_SNAP_BYTES);
+
+        let mut restored = VmUser::new(programs::caesar_relay_exact(2, 3));
+        let mut r = SnapReader::new(&CAESAR_SNAP_BYTES);
+        restored.restore_snap(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(restored.machine().regs(), live.machine().regs());
+        assert_eq!(
+            restored.machine().instructions_retired(),
+            live.machine().instructions_retired()
+        );
+        for round in 9..25 {
+            let mut c1 = StepCtx::new(round, &mut rng);
+            let out_live = live.step(&mut c1, &input);
+            let mut c2 = StepCtx::new(round, &mut rng);
+            let out_restored = restored.step(&mut c2, &input);
+            assert_eq!(out_live, out_restored, "diverged at round {round}");
+        }
+    }
+
+    #[test]
+    fn vm_user_snapshot_with_cache_flag_set_is_refused() {
+        use goc_core::snap::{SnapError, SnapReader};
+        let mut bytes = CAESAR_SNAP_BYTES;
+        bytes[0] = 1;
+        let mut user = VmUser::new(programs::caesar_relay_exact(2, 3));
+        assert!(matches!(
+            user.restore_snap(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Mismatch { context: "vm-user cache flag", .. })
+        ));
+    }
+
+    #[test]
+    fn vm_user_snapshot_truncations_fail_typed() {
+        use goc_core::snap::SnapReader;
+        for len in 0..CAESAR_SNAP_BYTES.len() {
+            let mut user = VmUser::new(programs::caesar_relay_exact(2, 3));
+            let mut r = SnapReader::new(&CAESAR_SNAP_BYTES[..len]);
+            let result = user.restore_snap(&mut r).and_then(|()| r.finish());
+            assert!(result.is_err(), "truncation to {len} bytes restored");
         }
     }
 
@@ -540,10 +502,10 @@ mod tests {
     #[test]
     fn vm_snapshot_rejects_different_program() {
         use goc_core::snap::{SnapError, SnapReader, SnapWriter};
-        let live = VmUser::new(programs::say_to_peer(b"hi")).with_cache_enabled(false);
+        let live = VmUser::new(programs::say_to_peer(b"hi"));
         let mut bytes = Vec::new();
         live.save_snap(&mut SnapWriter::new(&mut bytes)).unwrap();
-        let mut wrong = VmUser::new(programs::say_to_peer(b"yo!")).with_cache_enabled(false);
+        let mut wrong = VmUser::new(programs::say_to_peer(b"yo!"));
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(
             wrong.restore_snap(&mut r),

@@ -35,8 +35,6 @@ pub struct ProgramEnumerator {
     alphabet: Vec<u8>,
     max_len: Option<usize>,
     fuel: u32,
-    /// Pins candidate-cache use on mounted users (None = `GOC_VM_CACHE`).
-    cache_override: Option<bool>,
 }
 
 impl ProgramEnumerator {
@@ -46,7 +44,6 @@ impl ProgramEnumerator {
             alphabet: (0..=255).collect(),
             max_len: None,
             fuel: crate::machine::DEFAULT_FUEL,
-            cache_override: None,
         }
     }
 
@@ -66,7 +63,6 @@ impl ProgramEnumerator {
             alphabet,
             max_len: None,
             fuel: crate::machine::DEFAULT_FUEL,
-            cache_override: None,
         }
     }
 
@@ -87,23 +83,10 @@ impl ProgramEnumerator {
         self
     }
 
-    /// Pins candidate-cache use on every user this enumeration mounts,
-    /// overriding the `GOC_VM_CACHE` default (see
-    /// [`VmUser::with_cache_enabled`]). Benchmarks comparing interpreter
-    /// paths use this to keep memoisation out of the measurement.
-    pub fn with_cache(mut self, enabled: bool) -> Self {
-        self.cache_override = Some(enabled);
+    /// Kept only for perfbench; remove in the next benchmark PR. Returns
+    /// `self` unchanged.
+    pub fn with_cache(self, _enabled: bool) -> Self {
         self
-    }
-
-    /// Mounts the `index`-th program with this enumeration's fuel and cache
-    /// settings applied.
-    fn make_user(&self, index: usize) -> VmUser {
-        let user = VmUser::with_fuel(self.program(index), self.fuel);
-        match self.cache_override {
-            Some(enabled) => user.with_cache_enabled(enabled),
-            None => user,
-        }
     }
 
     /// Number of programs of length exactly `len` (may saturate at
@@ -332,7 +315,7 @@ impl StrategyEnumerator for ProgramEnumerator {
                 return None;
             }
         }
-        Some(Box::new(self.make_user(index)))
+        Some(Box::new(VmUser::with_fuel(self.program(index), self.fuel)))
     }
 
     fn name(&self) -> String {

@@ -18,9 +18,6 @@
 //!   interpreter cores (default: table dispatch).
 //! - [`adapter`] — mounting programs as `goc-core` users/servers, plus a
 //!   library of small useful programs.
-//! - [`cache`] — the candidate-evaluation cache memoising VM rounds by
-//!   `(program, fuel, interaction prefix)` across universal-search revisits
-//!   and harness trials.
 //! - [`enumerate`] — the length-lex [`ProgramEnumerator`], a
 //!   [`StrategyEnumerator`](goc_core::enumeration::StrategyEnumerator) over
 //!   the full class or any alphabet-restricted subclass, with a

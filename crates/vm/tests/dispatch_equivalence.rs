@@ -114,8 +114,9 @@ fn table_and_match_agree_on_every_short_jump_heavy_program() {
     }
 }
 
-/// Drives a [`VmUser`] over `inputs`, collecting per-round outputs and halts.
-fn drive_user(user: &mut dyn UserStrategy, inputs: &[(Vec<u8>, Vec<u8>)]) -> Vec<RoundState> {
+/// Drives a [`VmUser`] over `inputs`, collecting per-round outputs, halts,
+/// registers and retired-instruction counts.
+fn drive_user(user: &mut VmUser, inputs: &[(Vec<u8>, Vec<u8>)]) -> Vec<RoundState> {
     let mut rng = GocRng::seed_from_u64(0);
     let mut out = Vec::new();
     for (round, (a, b)) in inputs.iter().enumerate() {
@@ -131,15 +132,15 @@ fn drive_user(user: &mut dyn UserStrategy, inputs: &[(Vec<u8>, Vec<u8>)]) -> Vec
             o.to_server.as_bytes().to_vec(),
             o.to_world.as_bytes().to_vec(),
             user.halted().map(|h| h.output.as_bytes().to_vec()),
-            [0u64; REG_COUNT], // registers may lag under the cache; not compared here
-            0,
+            *user.machine().regs(),
+            user.machine().instructions_retired(),
         ));
     }
     out
 }
 
-/// The flag is also inert one layer up: a mounted [`VmUser`] (cache on and
-/// off) steps identically whatever `GOC_DISPATCH` says.
+/// The flag is also inert one layer up: a mounted [`VmUser`] steps
+/// identically whatever `GOC_DISPATCH` says.
 #[test]
 fn vm_user_is_invariant_across_dispatch_modes() {
     let round_inputs = gens::tuple2(gens::bytes(0, 5), gens::bytes(0, 5));
@@ -149,23 +150,13 @@ fn vm_user_is_invariant_across_dispatch_modes() {
         gens::vec_of(round_inputs, 1, 10),
     );
     check("vm_user_is_invariant_across_dispatch_modes", trial, |(code, fuel, inputs)| {
-        for cache in [false, true] {
-            let run = |table: bool| {
-                with_dispatch(table, || {
-                    let program = Program::from_bytes(code.clone());
-                    let mut user =
-                        VmUser::with_fuel(program, *fuel).with_cache_enabled(cache);
-                    drive_user(&mut user, inputs)
-                })
-            };
-            let via_match = run(false);
-            let via_table = run(true);
-            prop_assert_eq!(
-                &via_table,
-                &via_match,
-                "VmUser diverged across dispatch modes (cache={cache})"
-            );
-        }
+        let run = |table: bool| {
+            with_dispatch(table, || {
+                let mut user = VmUser::with_fuel(Program::from_bytes(code.clone()), *fuel);
+                drive_user(&mut user, inputs)
+            })
+        };
+        prop_assert_eq!(&run(true), &run(false), "VmUser diverged across dispatch modes");
         Ok(())
     });
 }

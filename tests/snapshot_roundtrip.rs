@@ -14,13 +14,15 @@
 //! `goc_core::snap`. Scenarios cover both goal flavours (finite magic-word
 //! and compact windowed), both universal users, every `GOC_RESUME` policy
 //! (pinned via `with_policy` so parallel test threads cannot race on the
-//! environment), and a faulty scheduled channel so in-flight
-//! `FaultSchedule` cursors are exercised.
+//! environment), a faulty scheduled channel so in-flight
+//! `FaultSchedule` cursors are exercised, and a Levin search over VM
+//! programs so mounted `VmUser` machines are checkpointed mid-search.
 
 use goc::core::sensing::Deadline;
 use goc::core::toy;
 use goc::core::trace;
 use goc::prelude::*;
+use goc::vm::ProgramEnumerator;
 use goc_testkit::{check, gens, prop_assert, prop_assert_eq, CaseError};
 
 const WORD: &str = "xyzzy";
@@ -40,20 +42,23 @@ enum Flavour {
     CompactReplay,
     /// Compact goal with `ResumePolicy::Resume` (slot-table state).
     CompactResume,
+    /// Finite goal, Levin round-robin over VM programs (machine state).
+    FiniteVm,
 }
 
-const FLAVOURS: [Flavour; 5] = [
+const FLAVOURS: [Flavour; 6] = [
     Flavour::FiniteRelay,
     Flavour::FiniteFaulty,
     Flavour::CompactRestart,
     Flavour::CompactReplay,
     Flavour::CompactResume,
+    Flavour::FiniteVm,
 ];
 
 impl Flavour {
     /// Finite-goal runs halt; compact runs go the full horizon.
     fn stops_on_halt(self) -> bool {
-        matches!(self, Flavour::FiniteRelay | Flavour::FiniteFaulty)
+        matches!(self, Flavour::FiniteRelay | Flavour::FiniteFaulty | Flavour::FiniteVm)
     }
 }
 
@@ -102,6 +107,23 @@ fn build(flavour: Flavour, seed: u64) -> Execution<toy::MagicWorld> {
             );
             let shift = rng.below(SHIFTS as u64) as u8;
             let server = Box::new(toy::RelayServer::with_shift(shift));
+            Execution::new(world, server, Box::new(user), rng)
+        }
+        Flavour::FiniteVm => {
+            // `[emit.a 'h']` sits behind the empty program, `jmp` spinners
+            // and programs emitting other bytes; the search settles at
+            // round 76, inside the checkpoint range.
+            let goal = toy::MagicWordGoal::new("h");
+            let world = goal.spawn_world(&mut rng);
+            let class = ProgramEnumerator::over(vec![0x0b, 0x01, b'h'])
+                .with_max_len(3)
+                .with_fuel(64);
+            let user = LevinUniversalUser::round_robin(
+                Box::new(class),
+                Box::new(toy::ack_sensing()),
+                8,
+            );
+            let server = Box::new(toy::RelayServer::default());
             Execution::new(world, server, Box::new(user), rng)
         }
     }
@@ -159,7 +181,7 @@ fn restore_is_observationally_invisible() {
     check(
         "snapshot_roundtrip",
         gens::tuple3(
-            gens::usize_in(0, FLAVOURS.len() - 1),
+            gens::usize_in(0, FLAVOURS.len()),
             gens::u64_in(0, 1 << 20),
             gens::u64_in(0, 160),
         ),
@@ -216,7 +238,7 @@ fn round_zero_snapshot_replays_the_whole_session() {
         let mut reference = build(flavour, 7);
         let t_ref = finish(&mut reference, flavour);
 
-        let mut a = build(flavour, 7);
+        let a = build(flavour, 7);
         let bytes = a.save_to_vec().expect("save at round 0");
         let mut b = build(flavour, 7);
         b.restore(&bytes).expect("restore at round 0");
