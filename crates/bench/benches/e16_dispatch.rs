@@ -1,23 +1,26 @@
-//! E16 — the predecoded dispatch-table scalar core, measured three ways.
+//! E16 — the predecoded scalar core (one `match` over decoded slots),
+//! measured three ways against the `round_match` spec. The ids and the
+//! `table` tag name the fast core after the handler table it replaced, so
+//! snapshots compare like for like.
 //!
 //! The micro pair times the raw interpreter loop: `e9_vm_instructions` over
-//! 10k rounds of the busy `inc/emit/jmp` program, once on the legacy
-//! `match` loop (`GOC_DISPATCH=0` semantics, forced via
-//! [`goc_vm::dispatch::with_dispatch`]) and once on the table. That loop
-//! writes a register and an outbox, so it is not a pure-jump cycle and
-//! prices dispatch alone. `ci.sh` gates the table arm at >= 1.3x the match
-//! median.
+//! 10k rounds of the busy `inc/emit/jmp` program, once on the spec's
+//! decode-as-you-go `match` loop (mounted with
+//! [`goc_vm::dispatch::with_dispatch`]`(false, ..)`) and once on the fast
+//! core. That loop writes a register and an outbox, so it is not a
+//! pure-jump cycle and prices the predecode alone. `ci.sh` gates the fast
+//! arm at >= 1.3x the match median.
 //!
 //! The burner pair prices the spin fast-forward alone: 10k rounds of the
-//! pure burner `jmp +0` at fuel 4096, which the table core retires in one
+//! pure burner `jmp +0` at fuel 4096, which the fast core retires in one
 //! step per round and the `match` loop walks `jmp` by `jmp`. No gate.
 //!
 //! The settle pair times the same axis end to end on a finite-Levin
 //! workload over fuel-burning VM programs, so every candidate round runs the
 //! core under comparison. Its burners are self-jumps, so the pair prices
-//! table dispatch plus the spin fast-forward together. Both arms compute
+//! the predecode plus the spin fast-forward together. Both arms compute
 //! the identical settle round — only the core differs. `ci.sh` gates the
-//! table arm at >= 2x the match median.
+//! fast arm at >= 2x the match median.
 //!
 //! Runs at `t1`: both workloads are single conversations; threading only
 //! adds scheduler noise to what is purely a dispatch-loop comparison.

@@ -839,7 +839,7 @@ impl Default for SteadyLoop {
 }
 
 // ---------------------------------------------------------------------------
-// E16 — dispatch-table scalar core: table-vs-match settle over a VM class
+// E16 — predecoded scalar core: fast-vs-spec settle over a VM class
 // ---------------------------------------------------------------------------
 
 /// Horizon for the VM settle runs (the winning program settles well before
@@ -878,7 +878,7 @@ fn levin_vm_settle_workload(seed: u64) -> u64 {
 }
 
 /// E16: the settle workload with every candidate round on the predecoded
-/// table dispatch (`true`) or the legacy `match` loop (`false`); returns
+/// fast core (`true`) or the `round_match` spec (`false`); returns
 /// the settle round. The two cores must settle on the identical round
 /// (`goc-report` asserts parity); the E16 bench times the same pair.
 pub fn e16_levin_dispatch_settle(table: bool) -> u64 {

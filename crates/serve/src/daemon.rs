@@ -491,6 +491,11 @@ fn handle_request(sessions: &mut HashMap<u64, Session>, frame: Frame, stats: &St
         Frame::Error { session, message }
     };
     match frame {
+        Frame::Open { session, .. } | Frame::Restore { session, .. }
+            if sessions.contains_key(&session) =>
+        {
+            err(session, format!("session {session} already open"))
+        }
         Frame::Open { session, scenario, seed } => match Session::build(&scenario, seed) {
             Some(s) => {
                 stats.opened.fetch_add(1, Ordering::Relaxed);

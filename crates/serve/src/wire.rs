@@ -93,7 +93,8 @@ impl From<SnapError> for WireError {
 /// by id, not by order).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// Create session `session` from `(scenario, seed)`.
+    /// Create session `session` from `(scenario, seed)`. Refused with
+    /// [`Frame::Error`] if `session` is already open.
     Open { session: u64, scenario: String, seed: u64 },
     /// Step session `session` forward by up to `rounds` rounds (stops
     /// early if a finite-goal user halts). Replies with [`Frame::Status`].
@@ -102,7 +103,8 @@ pub enum Frame {
     Snap { session: u64 },
     /// Recreate session `session` from `(scenario, seed)` and restore the
     /// `snap` checkpoint into it (the snap discipline: same constructors
-    /// and seed as the saved run).
+    /// and seed as the saved run). Refused like [`Frame::Open`] if
+    /// `session` is already open.
     Restore { session: u64, scenario: String, seed: u64, snap: Vec<u8> },
     /// Discard session `session`. Replies with [`Frame::Closed`].
     Close { session: u64 },

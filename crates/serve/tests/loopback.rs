@@ -145,6 +145,37 @@ fn snapshot_migrates_across_daemons() {
     second.wait();
 }
 
+/// `Open` or `Restore` on an id that is already resident is refused with an
+/// `Error` and leaves the live session untouched: it still settles exactly
+/// like an undisturbed run.
+#[test]
+fn open_and_restore_refuse_a_live_session_id() {
+    let handle = tcp_daemon();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let seed = session_seed(19, 7);
+    client.open(7, "magic-compact", seed).expect("open");
+    client.drive(7, 64).expect("drive");
+    let snap = client.snap(7).expect("snap");
+    let clobbers = [
+        Frame::Open { session: 7, scenario: "magic".to_string(), seed: 1 },
+        Frame::Restore { session: 7, scenario: "magic-compact".to_string(), seed, snap },
+    ];
+    for frame in &clobbers {
+        match client.request(frame).expect("reply") {
+            Frame::Error { session: 7, message } => {
+                assert!(message.contains("already open"), "unexpected message {message:?}")
+            }
+            other => panic!("a live id must be refused, got {other:?}"),
+        }
+    }
+    let status = client.drive(7, 192).expect("drive on");
+    assert_eq!(status, settle_in_process("magic-compact", seed, 256));
+    client.shutdown().expect("shutdown");
+    let stats = handle.wait();
+    assert_eq!(stats.opened, 1);
+    assert_eq!(stats.errors, 2);
+}
+
 /// Hostile bytes on a live connection: garbage frames earn `Error` replies
 /// and the daemon keeps serving the *same* connection afterwards.
 #[test]
@@ -238,10 +269,9 @@ fn chaos_faults_compose_onto_the_socket_path() {
         }
     };
 
-    let mut status = None;
     let mut opened = false;
     let mut retries = 0u32;
-    loop {
+    let status = loop {
         let frame = if !opened {
             Frame::Open { session: 8, scenario: "magic-compact".to_string(), seed }
         } else {
@@ -252,9 +282,8 @@ fn chaos_faults_compose_onto_the_socket_path() {
             Some(_) => match wire::read_frame(&mut stream).expect("predicted reply") {
                 Frame::Status { session: 8, round, halted, heard } => {
                     opened = true;
-                    status = Some((round, halted, heard));
                     if round >= horizon {
-                        break;
+                        break (round, halted, heard);
                     }
                 }
                 Frame::Error { .. } => {} // corrupted request: resend
@@ -263,9 +292,9 @@ fn chaos_faults_compose_onto_the_socket_path() {
         }
         retries += 1;
         assert!(retries < 10_000, "chaos session never settled");
-    }
+    };
     assert_eq!(
-        status.expect("session settled"),
+        status,
         settle_in_process("magic-compact", seed, horizon),
         "a lossy, corrupting network must not change what the session settles to"
     );

@@ -10,12 +10,13 @@
 //! - [`instr`] — the 16-opcode instruction set (registers, channel I/O,
 //!   bounded jumps).
 //! - [`program`] — programs, assembler, disassembler.
-//! - [`machine`] — the fuel-bounded interpreter: every round runs through a
-//!   predecoded ([`DecodedProgram`]) per-opcode dispatch table, which
-//!   retires a pure-jump cycle in one step, with the original `match` loop
-//!   kept as its executable specification.
-//! - [`dispatch`] — the `GOC_DISPATCH` gate selecting between the two
-//!   interpreter cores (default: table dispatch).
+//! - [`machine`] — the fuel-bounded interpreter: every round runs one
+//!   `match` over the program predecoded per byte offset, which retires a
+//!   pure-jump cycle in one step, with the original decode-as-you-go `match`
+//!   loop kept as its executable specification.
+//! - [`dispatch`] — [`with_dispatch`](dispatch::with_dispatch), the scoped,
+//!   thread-local switch that mounts that specification (default: the
+//!   predecoded core).
 //! - [`adapter`] — mounting programs as `goc-core` users/servers, plus a
 //!   library of small useful programs.
 //! - [`enumerate`] — the length-lex [`ProgramEnumerator`], a
@@ -53,5 +54,5 @@ pub mod program;
 pub use adapter::{VmServer, VmUser};
 pub use enumerate::ProgramEnumerator;
 pub use instr::{Chan, Instr, Reg};
-pub use machine::{DecodedProgram, Machine, RoundIo};
+pub use machine::{Machine, RoundIo};
 pub use program::Program;

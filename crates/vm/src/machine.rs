@@ -11,23 +11,24 @@
 //! divergence.
 //!
 //! **Two interpreter cores, one semantics.** The default core predecodes the
-//! program once into a [`DecodedProgram`] — a dense opcode index plus
-//! flattened operands per byte offset — and executes through `DISPATCH`, a
-//! `const` table of per-opcode handler functions (unsafe-free fn-pointer
-//! dispatch). `GOC_DISPATCH=0` (see [`dispatch`](crate::dispatch)) selects
-//! `Machine::round_match`'s original `match` loop instead — kept as the
-//! executable specification the table is differentially tested against.
+//! program once into a `DecodedProgram` — the [`Instr`] at every byte offset
+//! with its fall-through and jump target resolved — and runs each round
+//! through one `match` over those slots (`Machine::round_decoded`).
+//! `Machine::round_match` is the original decode-as-you-go `match` loop,
+//! kept as the executable specification the fast core is differentially
+//! tested against; [`with_dispatch`](crate::dispatch::with_dispatch)`(false, ..)`
+//! mounts it.
 //!
 //! **Pure-jump cycles cost one step.** The predecode also marks every offset
-//! whose chain of unconditional `jmp`s closes a cycle with the extra op
-//! index `SPIN`. A `jmp` writes only the pc, so such a chain never touches
-//! registers, inbox cursors, outboxes or halt state and can only end by
-//! running out of fuel: the table core retires the round's remaining fuel
-//! in one step instead of burning it one `jmp` at a time. `round_match` is
-//! not fast-forwarded, so the differential tests still check the shortcut
-//! against the step-by-step spec.
+//! whose chain of unconditional `jmp`s closes a cycle as a `Spin` slot. A
+//! `jmp` writes only the pc, so such a chain never touches registers, inbox
+//! cursors, outboxes or halt state and can only end by running out of fuel:
+//! the fast core retires the round's remaining fuel in one step instead of
+//! burning it one `jmp` at a time. `round_match` is not fast-forwarded, so
+//! the differential tests still check the shortcut against the step-by-step
+//! spec.
 
-use crate::instr::{Chan, Instr, OPCODE_COUNT, REG_COUNT};
+use crate::instr::{Chan, Instr, REG_COUNT};
 use crate::program::Program;
 use goc_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::sync::Arc;
@@ -98,7 +99,7 @@ pub struct Machine {
     fuel_per_round: u32,
     halted: Option<Vec<u8>>,
     instructions_retired: u64,
-    /// Lazily built (and `Clone`-shared) decode for table dispatch. Never
+    /// Lazily built (and `Clone`-shared) decode for the fast core. Never
     /// serialized: snapshots carry the program bytes, and a restore into the
     /// same program keeps the decode valid.
     decoded: Option<Arc<DecodedProgram>>,
@@ -157,10 +158,10 @@ impl Machine {
     ///
     /// A halted machine does nothing (outboxes stay empty).
     ///
-    /// With [`dispatch::enabled`](crate::dispatch::enabled) (the default)
-    /// the round runs through the predecoded handler table, built lazily on
-    /// first use and kept for every later round; `GOC_DISPATCH=0` selects
-    /// the `match` loop in `round_match`. Both cores are observably
+    /// The round runs on the predecoded fast core, whose decode is built
+    /// lazily on first use and kept for every later round; inside
+    /// [`with_dispatch`](crate::dispatch::with_dispatch)`(false, ..)` it runs
+    /// on the `round_match` spec instead. Both cores are observably
     /// identical.
     pub fn round(&mut self, io: &mut RoundIo) {
         if self.halted.is_some() || self.program.is_empty() {
@@ -181,8 +182,8 @@ impl Machine {
     }
 
     /// The original scalar `match` interpreter loop — the executable
-    /// specification the dispatch table is tested against, and the round
-    /// core when `GOC_DISPATCH=0`.
+    /// specification the fast core is tested against, and the round core
+    /// inside `with_dispatch(false, ..)`.
     fn round_match(&mut self, io: &mut RoundIo) {
         if self.halted.is_some() || self.program.is_empty() {
             return;
@@ -271,53 +272,99 @@ impl Machine {
         target.rem_euclid(code_len as i64) as usize
     }
 
-    /// Executes one round through a predecoded program — the jump-table
-    /// dispatch twin of `round_match`, observably identical (outboxes,
-    /// registers, halt payload, retired-instruction count) but with decode,
-    /// operand reads, and jump reduction all hoisted out of the loop.
+    /// Executes one round through a predecoded program — the fast twin of
+    /// `round_match`, observably identical (outboxes, registers, halt
+    /// payload, retired-instruction count). Its arms are `round_match`'s
+    /// with decode and jump reduction hoisted out of the loop, plus one for
+    /// `Spin`, which retires a pure-jump cycle's remaining fuel at once.
     ///
-    /// `decoded` must be [`DecodedProgram::new`] of this machine's program;
-    /// that invariant is debug-asserted.
+    /// `decoded` is [`DecodedProgram::new`] of this machine's program: only
+    /// [`round`](Self::round) builds it, and the program never changes.
     ///
     /// Kept out of line on purpose: inlined into `round` and on into its
-    /// callers, the dispatch loop ran about 10% slower on the `levin_vm_cold`
+    /// callers, the loop ran about 10% slower on the `levin_vm_cold`
     /// perfbench workload (2-vCPU host).
     #[inline(never)]
     fn round_decoded(&mut self, decoded: &DecodedProgram, io: &mut RoundIo) {
-        debug_assert_eq!(
-            decoded.code(),
-            self.program.as_bytes(),
-            "DecodedProgram does not match this machine's program"
-        );
-        let code_len = decoded.len();
+        let code_len = decoded.ops.len();
         let mut pc = 0usize;
         let mut fuel = self.fuel_per_round;
-        let mut cur_a = 0usize;
-        let mut cur_b = 0usize;
+        let mut cur_a = 0usize; // inbox A cursor
+        let mut cur_b = 0usize; // inbox B cursor
         while pc < code_len && fuel > 0 {
             fuel -= 1;
             self.instructions_retired += 1;
-            let mut lane = StepLane {
-                pc: &mut pc,
-                regs: &mut self.regs,
-                io: &mut *io,
-                cur_a: &mut cur_a,
-                cur_b: &mut cur_b,
-            };
-            match decoded.step(&mut lane) {
-                StepOutcome::Continue => {}
-                StepOutcome::End => return,
-                StepOutcome::Halt => {
-                    self.halted = Some(io.out_b.clone());
-                    return;
-                }
-                StepOutcome::Spin => {
+            let op = decoded.ops[pc];
+            let mut next_pc = op.next as usize;
+            match op.slot {
+                Slot::Spin => {
                     // Every remaining unit of fuel would retire one more
                     // `jmp` of the cycle and change nothing else.
                     self.instructions_retired += u64::from(fuel);
                     return;
                 }
+                Slot::Exec(Instr::Halt) => {
+                    self.halted = Some(io.out_b.clone());
+                    return;
+                }
+                Slot::Exec(Instr::EmitA(b)) => io.out_a.push(b),
+                Slot::Exec(Instr::EmitB(b)) => io.out_b.push(b),
+                Slot::Exec(Instr::EmitAReg(r)) => io.out_a.push(self.regs[r.index()] as u8),
+                Slot::Exec(Instr::EmitBReg(r)) => io.out_b.push(self.regs[r.index()] as u8),
+                Slot::Exec(Instr::ReadA(r)) => {
+                    self.regs[r.index()] = match io.in_a.get(cur_a) {
+                        Some(&b) => {
+                            cur_a += 1;
+                            b as u64
+                        }
+                        None => EXHAUSTED,
+                    };
+                }
+                Slot::Exec(Instr::ReadB(r)) => {
+                    self.regs[r.index()] = match io.in_b.get(cur_b) {
+                        Some(&b) => {
+                            cur_b += 1;
+                            b as u64
+                        }
+                        None => EXHAUSTED,
+                    };
+                }
+                Slot::Exec(Instr::Const(r, b)) => self.regs[r.index()] = b as u64,
+                Slot::Exec(Instr::Add(r, s)) => {
+                    self.regs[r.index()] =
+                        self.regs[r.index()].wrapping_add(self.regs[s.index()])
+                }
+                Slot::Exec(Instr::Inc(r)) => {
+                    self.regs[r.index()] = self.regs[r.index()].wrapping_add(1)
+                }
+                Slot::Exec(Instr::JmpIfZero(r, _)) => {
+                    if self.regs[r.index()] == 0 {
+                        next_pc = op.target as usize;
+                    }
+                }
+                Slot::Exec(Instr::Jmp(_)) => next_pc = op.target as usize,
+                Slot::Exec(Instr::CopyA(dest)) => {
+                    let rest = &io.in_a[cur_a.min(io.in_a.len())..];
+                    match dest {
+                        Chan::A => io.out_a.extend_from_slice(rest),
+                        Chan::B => io.out_b.extend_from_slice(rest),
+                    }
+                    cur_a = io.in_a.len();
+                }
+                Slot::Exec(Instr::CopyB(dest)) => {
+                    let rest = &io.in_b[cur_b.min(io.in_b.len())..];
+                    match dest {
+                        Chan::A => io.out_a.extend_from_slice(rest),
+                        Chan::B => io.out_b.extend_from_slice(rest),
+                    }
+                    cur_b = io.in_b.len();
+                }
+                Slot::Exec(Instr::AddConst(r, b)) => {
+                    self.regs[r.index()] = self.regs[r.index()].wrapping_add(b as u64)
+                }
+                Slot::Exec(Instr::EndRound) => return,
             }
+            pc = next_pc;
         }
     }
 
@@ -376,259 +423,39 @@ impl Machine {
     }
 }
 
-/// Outcome of executing one decoded instruction (see [`DecodedProgram::step`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum StepOutcome {
-    /// Fell through or jumped; the round continues.
-    Continue,
-    /// `end` — the round is over.
-    End,
-    /// `halt` — the caller records the current B outbox as final output.
-    Halt,
-    /// A `jmp` that starts a pure-jump cycle: the rest of the round only
-    /// burns fuel, so the caller retires all of it and ends the round.
+/// What a predecoded slot runs: the [`Instr`] decoded at its offset, or
+/// `Spin` for a `jmp` whose chain of `jmp` targets closes a cycle (see
+/// [`mark_spins`]).
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    Exec(Instr),
     Spin,
 }
 
-/// The mutable per-round execution state of one machine, threaded through
-/// every dispatch handler. The caller owns fuel and retired-instruction
-/// accounting (charged *before* each step, as the scalar loop does).
-struct StepLane<'a> {
-    pc: &'a mut usize,
-    regs: &'a mut [u64; REG_COUNT],
-    io: &'a mut RoundIo,
-    cur_a: &'a mut usize,
-    cur_b: &'a mut usize,
-}
-
-impl StepLane<'_> {
-    /// Falls through to `op`'s next pc and continues the round.
-    #[inline(always)]
-    fn advance(&mut self, op: DecodedOp) -> StepOutcome {
-        *self.pc = op.next as usize;
-        StepOutcome::Continue
-    }
-}
-
-/// One predecoded instruction slot (see [`DecodedProgram`]): the dense
-/// opcode index that selects the [`DISPATCH`] handler, plus its operands
-/// flattened out of [`Instr`] (register indices already reduced mod
-/// `REG_COUNT`, channel selectors as 0 = A / 1 = B).
+/// One predecoded instruction slot (see [`DecodedProgram`]).
 #[derive(Clone, Copy, Debug)]
 struct DecodedOp {
-    /// Dense opcode index in `0..OPCODE_COUNT` — the handler-table slot —
-    /// or [`SPIN`] for a `jmp` that starts a pure-jump cycle.
-    op: u8,
-    /// First operand: register index, immediate byte, or channel selector.
-    a: u8,
-    /// Second operand (two-operand opcodes only).
-    b: u8,
+    slot: Slot,
     /// `pos + encoded length`: the fall-through pc.
     next: u32,
     /// Precomputed, range-reduced target for `jmp` / taken `jz`; 0 otherwise.
     target: u32,
 }
 
-/// Dense index of `jmp` (see [`flatten`]).
-const JMP: u8 = 11;
-
-/// The one op index past the real opcodes: a `jmp` whose chain of `jmp`
-/// targets closes a cycle (see [`mark_spins`]).
-const SPIN: u8 = OPCODE_COUNT;
-
-/// Flattens a decoded [`Instr`] into `(dense opcode, operand a, operand b)`.
-/// The dense index mirrors the opcode byte map in [`crate::instr`] exactly.
-fn flatten(instr: Instr) -> (u8, u8, u8) {
-    let chan = |c: Chan| match c {
-        Chan::A => 0u8,
-        Chan::B => 1u8,
-    };
-    match instr {
-        Instr::Halt => (0, 0, 0),
-        Instr::EmitA(x) => (1, x, 0),
-        Instr::EmitB(x) => (2, x, 0),
-        Instr::EmitAReg(r) => (3, r.index() as u8, 0),
-        Instr::EmitBReg(r) => (4, r.index() as u8, 0),
-        Instr::ReadA(r) => (5, r.index() as u8, 0),
-        Instr::ReadB(r) => (6, r.index() as u8, 0),
-        Instr::Const(r, x) => (7, r.index() as u8, x),
-        Instr::Add(r, s) => (8, r.index() as u8, s.index() as u8),
-        Instr::Inc(r) => (9, r.index() as u8, 0),
-        Instr::JmpIfZero(r, _) => (10, r.index() as u8, 0),
-        Instr::Jmp(_) => (JMP, 0, 0),
-        Instr::CopyA(c) => (12, chan(c), 0),
-        Instr::CopyB(c) => (13, chan(c), 0),
-        Instr::AddConst(r, x) => (14, r.index() as u8, x),
-        Instr::EndRound => (15, 0, 0),
-    }
-}
-
-/// One handler per opcode. Handlers set `*lane.pc` themselves (fall-through
-/// or jump target) and return the round outcome; `Halt`/`End` leave the pc
-/// untouched since the round is over.
-type Handler = fn(DecodedOp, &mut StepLane<'_>) -> StepOutcome;
-
-/// The computed-goto-style dispatch table, indexed by [`DecodedOp::op`].
-/// Order must match [`flatten`] (== the opcode byte map in [`crate::instr`]).
-const DISPATCH: [Handler; OPCODE_COUNT as usize] = [
-    op_halt,
-    op_emit_a,
-    op_emit_b,
-    op_emit_a_reg,
-    op_emit_b_reg,
-    op_read_a,
-    op_read_b,
-    op_const,
-    op_add,
-    op_inc,
-    op_jmp_if_zero,
-    op_jmp,
-    op_copy_a,
-    op_copy_b,
-    op_add_const,
-    op_end_round,
-];
-
-#[inline(always)]
-fn op_halt(_op: DecodedOp, _s: &mut StepLane<'_>) -> StepOutcome {
-    StepOutcome::Halt
-}
-
-#[inline(always)]
-fn op_emit_a(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.io.out_a.push(op.a);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_emit_b(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.io.out_b.push(op.a);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_emit_a_reg(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.io.out_a.push(s.regs[op.a as usize] as u8);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_emit_b_reg(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.io.out_b.push(s.regs[op.a as usize] as u8);
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_read_a(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = match s.io.in_a.get(*s.cur_a) {
-        Some(&b) => {
-            *s.cur_a += 1;
-            b as u64
-        }
-        None => EXHAUSTED,
-    };
-    s.regs[op.a as usize] = v;
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_read_b(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = match s.io.in_b.get(*s.cur_b) {
-        Some(&b) => {
-            *s.cur_b += 1;
-            b as u64
-        }
-        None => EXHAUSTED,
-    };
-    s.regs[op.a as usize] = v;
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_const(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    s.regs[op.a as usize] = op.b as u64;
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_add(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = s.regs[op.a as usize].wrapping_add(s.regs[op.b as usize]);
-    s.regs[op.a as usize] = v;
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_inc(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = s.regs[op.a as usize].wrapping_add(1);
-    s.regs[op.a as usize] = v;
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_jmp_if_zero(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    *s.pc = if s.regs[op.a as usize] == 0 { op.target as usize } else { op.next as usize };
-    StepOutcome::Continue
-}
-
-#[inline(always)]
-fn op_jmp(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    *s.pc = op.target as usize;
-    StepOutcome::Continue
-}
-
-#[inline(always)]
-fn op_copy_a(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let io = &mut *s.io;
-    let rest = &io.in_a[(*s.cur_a).min(io.in_a.len())..];
-    if op.a == 0 {
-        io.out_a.extend_from_slice(rest);
-    } else {
-        io.out_b.extend_from_slice(rest);
-    }
-    *s.cur_a = io.in_a.len();
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_copy_b(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let io = &mut *s.io;
-    let rest = &io.in_b[(*s.cur_b).min(io.in_b.len())..];
-    if op.a == 0 {
-        io.out_a.extend_from_slice(rest);
-    } else {
-        io.out_b.extend_from_slice(rest);
-    }
-    *s.cur_b = io.in_b.len();
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_add_const(op: DecodedOp, s: &mut StepLane<'_>) -> StepOutcome {
-    let v = s.regs[op.a as usize].wrapping_add(op.b as u64);
-    s.regs[op.a as usize] = v;
-    s.advance(op)
-}
-
-#[inline(always)]
-fn op_end_round(_op: DecodedOp, _s: &mut StepLane<'_>) -> StepOutcome {
-    StepOutcome::End
-}
-
-/// A program predecoded for jump-table dispatch: one op per **byte offset**
-/// (jumps may land mid-instruction, so every offset is a legal entry point),
-/// with fall-through and jump targets resolved up front and pure-jump cycles
-/// marked [`SPIN`]. One decode serves every round of a machine.
-#[derive(Clone, Debug)]
-pub struct DecodedProgram {
-    code: Box<[u8]>,
+/// A program predecoded for [`Machine::round_decoded`]: one op per **byte
+/// offset** (jumps may land mid-instruction, so every offset is a legal
+/// entry point), with fall-through and jump targets resolved up front and
+/// pure-jump cycles marked `Spin`. One decode serves every round of a
+/// machine.
+#[derive(Debug)]
+struct DecodedProgram {
     ops: Box<[DecodedOp]>,
 }
 
 impl DecodedProgram {
-    /// Predecodes `program` at every byte offset, flattening each [`Instr`]
-    /// into its dense opcode index and raw operands, then marks the offsets
+    /// Predecodes `program` at every byte offset, then marks the offsets
     /// that enter a pure-jump cycle.
-    pub fn new(program: &Program) -> Self {
+    fn new(program: &Program) -> Self {
         let code = program.as_bytes();
         let len = code.len();
         let mut ops: Box<[DecodedOp]> = (0..len)
@@ -640,41 +467,15 @@ impl DecodedProgram {
                     }
                     _ => 0,
                 };
-                let (op, a, b) = flatten(instr);
-                DecodedOp { op, a, b, next: (pos + used) as u32, target }
+                DecodedOp { slot: Slot::Exec(instr), next: (pos + used) as u32, target }
             })
             .collect();
         mark_spins(&mut ops);
-        DecodedProgram { code: code.into(), ops }
-    }
-
-    /// The raw program bytes this table was built from.
-    pub fn code(&self) -> &[u8] {
-        &self.code
-    }
-
-    /// Code length in bytes (== number of decoded slots).
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// `true` for the empty program.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Executes the instruction at `*lane.pc` through the dispatch table,
-    /// observably identical to one iteration of the scalar `match` loop.
-    /// The caller owns the fuel and retired-instruction accounting (charged
-    /// *before* this call, as the scalar loop does).
-    #[inline(always)]
-    fn step(&self, lane: &mut StepLane<'_>) -> StepOutcome {
-        let op = self.ops[*lane.pc];
-        exec_op(op, lane)
+        DecodedProgram { ops }
     }
 }
 
-/// Rewrites to [`SPIN`] every `jmp` whose chain of `jmp` targets closes a
+/// Rewrites to `Spin` every `jmp` whose chain of `jmp` targets closes a
 /// cycle, so that running from it can only burn fuel. Each offset is walked
 /// once: a walk stops at a non-`jmp` (the chain exits), at an offset already
 /// settled, or at an offset on its own path (a cycle), and settles its whole
@@ -692,7 +493,7 @@ fn mark_spins(ops: &mut [DecodedOp]) {
             match state[pc] {
                 ON_PATH | SPINS => break true,
                 EXITS => break false,
-                _ if ops[pc].op != JMP => break false,
+                _ if !matches!(ops[pc].slot, Slot::Exec(Instr::Jmp(_))) => break false,
                 _ => {
                     state[pc] = ON_PATH;
                     path.push(pc);
@@ -706,43 +507,8 @@ fn mark_spins(ops: &mut [DecodedOp]) {
     }
     for (op, s) in ops.iter_mut().zip(state) {
         if s == SPINS {
-            op.op = SPIN;
+            op.slot = Slot::Spin;
         }
-    }
-}
-
-/// Executes one decoded op: semantically `DISPATCH[op.op](op, lane)`, written
-/// as a `match` on the dense opcode index. Both forms compile to an indexed
-/// jump through a constant table, but the `match` keeps the handler bodies
-/// inlinable into the round loop — an indirect call through
-/// the fn-pointer table is an inlining barrier that costs ~1.5x on
-/// burner-heavy settle workloads, where the whole per-step state otherwise
-/// lives in registers. The `const` table stays the canonical opcode → handler
-/// map: the (unreachable by [`flatten`] construction) default arm routes
-/// through it, and `exec_op_agrees_with_dispatch_table` pins each arm to its
-/// table slot. [`SPIN`] has no table slot: it is not an opcode but a
-/// whole-round outcome.
-#[inline(always)]
-fn exec_op(op: DecodedOp, lane: &mut StepLane<'_>) -> StepOutcome {
-    match op.op {
-        0 => op_halt(op, lane),
-        1 => op_emit_a(op, lane),
-        2 => op_emit_b(op, lane),
-        3 => op_emit_a_reg(op, lane),
-        4 => op_emit_b_reg(op, lane),
-        5 => op_read_a(op, lane),
-        6 => op_read_b(op, lane),
-        7 => op_const(op, lane),
-        8 => op_add(op, lane),
-        9 => op_inc(op, lane),
-        10 => op_jmp_if_zero(op, lane),
-        11 => op_jmp(op, lane),
-        12 => op_copy_a(op, lane),
-        13 => op_copy_b(op, lane),
-        14 => op_add_const(op, lane),
-        15 => op_end_round(op, lane),
-        SPIN => StepOutcome::Spin,
-        _ => DISPATCH[op.op as usize](op, lane),
     }
 }
 
@@ -841,25 +607,21 @@ mod tests {
     }
 
     #[test]
-    fn backward_jump_with_counter_builds_loop() {
-        // r0 = 3; loop: emit.a r0; r0 += 255 (i.e. -1 mod 256 at byte level
-        // is not what we want for u64, so count down differently):
-        // Here: emit while r1 == 0 pattern — simpler: emit.a r0 three times
-        // via explicit unrolled check is overkill; instead test jz skipping.
+    fn jz_into_an_operand_decodes_from_there() {
+        // 0..3  jz r0, +4     r0 == 0, so it jumps to offset 4
+        // 3..5  emit.a 0xee   offset 4 is this operand: 0xee decodes as add.const
+        // 5..7  emit.a 0x01   add.const r1, 0x01 spans 4..7 and ends the code
         let p = Program::assemble(&[
-            Instr::JmpIfZero(Reg::new(0), 4), // r0 == 0 initially: skip next (emit.a 0xEE is 2 bytes; jz is 3 bytes; +4 from jz start lands past emit)
+            Instr::JmpIfZero(Reg::new(0), 4),
             Instr::EmitA(0xee),
             Instr::EmitA(0x01),
         ]);
         let mut m = Machine::new(p);
         let mut io = RoundIo::default();
         m.round(&mut io);
-        // jz at pc=0 (3 bytes), +4 → pc=4: that's the second EmitA? Layout:
-        // 0..3 jz, 3..5 emit 0xee, 5..7 emit 0x01 → pc=4 lands mid-instruction
-        // (operand of the first emit) — decoding from there is still total.
-        // The byte at 4 is 0xee → opcode 0xee % 16 = 14 (AddConst).
-        // Next decode consumes 3 bytes → pc=7 = end. So only nothing emitted.
         assert!(io.out_a.is_empty());
+        assert_eq!(m.regs()[1], 1);
+        assert_eq!(m.instructions_retired(), 2);
     }
 
     #[test]
@@ -885,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_table_matches_match_loop() {
+    fn decoded_core_matches_round_match() {
         let p = Program::assemble(&[
             Instr::ReadA(Reg::new(1)),
             Instr::Const(Reg::new(2), 7),
@@ -895,8 +657,8 @@ mod tests {
             Instr::JmpIfZero(Reg::new(3), 3),
             Instr::EmitB(0xAA),
         ]);
-        let run = |table: bool| {
-            crate::dispatch::with_dispatch(table, || {
+        let run = |fast: bool| {
+            crate::dispatch::with_dispatch(fast, || {
                 let mut m = Machine::with_fuel(p.clone(), 64);
                 let mut outs = Vec::new();
                 for _ in 0..3 {
@@ -910,20 +672,20 @@ mod tests {
         assert_eq!(run(true), run(false));
     }
 
-    /// Offsets the predecode marks [`SPIN`].
+    /// Offsets the predecode marks `Spin`.
     fn spin_offsets(p: &Program) -> Vec<usize> {
         let decoded = DecodedProgram::new(p);
-        (0..decoded.len()).filter(|&pc| decoded.ops[pc].op == SPIN).collect()
+        (0..decoded.ops.len()).filter(|&pc| matches!(decoded.ops[pc].slot, Slot::Spin)).collect()
     }
 
     /// Everything observable about `rounds` rounds of `p` on one core.
     type CoreRun = (Vec<(Vec<u8>, Vec<u8>)>, [u64; REG_COUNT], u64, Option<Vec<u8>>);
 
-    /// Runs `rounds` empty-inbox rounds of `p` on the table core and on the
-    /// `round_match` spec, asserts they agree, and returns the table's run.
+    /// Runs `rounds` empty-inbox rounds of `p` on the fast core and on the
+    /// `round_match` spec, asserts they agree, and returns the fast run.
     fn run_both_cores(p: &Program, fuel: u32, rounds: usize) -> CoreRun {
-        let run = |table: bool| {
-            crate::dispatch::with_dispatch(table, || {
+        let run = |fast: bool| {
+            crate::dispatch::with_dispatch(fast, || {
                 let mut m = Machine::with_fuel(p.clone(), fuel);
                 let mut outs = Vec::new();
                 for _ in 0..rounds {
@@ -934,9 +696,9 @@ mod tests {
                 (outs, *m.regs(), m.instructions_retired(), m.halted.clone())
             })
         };
-        let table = run(true);
-        assert_eq!(table, run(false), "table core and spec disagree on {:?}", p.as_bytes());
-        table
+        let fast = run(true);
+        assert_eq!(fast, run(false), "fast core and spec disagree on {:?}", p.as_bytes());
+        fast
     }
 
     #[test]
@@ -1003,40 +765,5 @@ mod tests {
         assert_eq!(spin_offsets(&p), Vec::<usize>::new());
         let (_, _, retired, _) = run_both_cores(&p, 100, 2);
         assert_eq!(retired, 200);
-    }
-
-    #[test]
-    fn exec_op_agrees_with_dispatch_table() {
-        // `exec_op`'s match arms and the `DISPATCH` slots must decode the
-        // same opcode → handler map: run every opcode through both from an
-        // identical starting state and compare the full observable effect.
-        for idx in 0..OPCODE_COUNT {
-            let op = DecodedOp { op: idx, a: 1, b: 2, next: 7, target: 3 };
-            let run = |dispatch: &dyn Fn(DecodedOp, &mut StepLane<'_>) -> StepOutcome| {
-                let mut pc = 0usize;
-                let mut regs = [0u64; REG_COUNT];
-                regs[1] = 5;
-                regs[2] = 9;
-                let mut io = RoundIo::with_inputs(b"ab".as_slice(), b"cd".as_slice());
-                let mut cur_a = 1usize;
-                let mut cur_b = 0usize;
-                let outcome = {
-                    let mut lane = StepLane {
-                        pc: &mut pc,
-                        regs: &mut regs,
-                        io: &mut io,
-                        cur_a: &mut cur_a,
-                        cur_b: &mut cur_b,
-                    };
-                    dispatch(op, &mut lane)
-                };
-                (outcome, pc, regs, io.out_a, io.out_b, cur_a, cur_b)
-            };
-            assert_eq!(
-                run(&exec_op),
-                run(&DISPATCH[idx as usize]),
-                "opcode {idx}: match arm and table slot disagree"
-            );
-        }
     }
 }
