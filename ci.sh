@@ -67,6 +67,12 @@ pooled_line=$(grep '"id":"steady_pooled"' target/goc-bench.jsonl | tail -n 1)
 printf '%s\n' "$pooled_line"
 grep -q '"allocs":0' <<<"$pooled_line" \
   || { echo "CI FAIL: steady_pooled must record 0 allocs/iter"; exit 1; }
+# The same batch through run_for: the transcript it returns shares the
+# recorded history, so handing it back must not allocate either.
+run_line=$(grep '"id":"steady_run"' target/goc-bench.jsonl | tail -n 1)
+printf '%s\n' "$run_line"
+grep -q '"allocs":0' <<<"$run_line" \
+  || { echo "CI FAIL: steady_run must record 0 allocs/iter (run_for copied the history)"; exit 1; }
 
 echo "== experiment report smoke (quick) =="
 cargo run --release --offline -p goc-bench --bin goc-report -- --quick

@@ -16,6 +16,9 @@
 //!   [`exp::E13_STEADY_BATCH`] rounds, pooled vs unpooled. With the
 //!   `count-allocs` feature the harness records allocations per iteration;
 //!   the pooled variant must record **zero** (gated by `ci.sh`).
+//!   `steady_run` drives the same pooled batch through `run_for`, whose
+//!   returned transcript shares the history; it must record zero as well,
+//!   so a transcript that copies the history fails the same gate.
 
 use goc_bench::experiments as exp;
 use goc_core::buf::{with_pool, CopyMode};
@@ -55,6 +58,12 @@ fn main() {
         "steady_pooled",
         BenchMeta { elems: Some(exp::E13_STEADY_BATCH), ..BenchMeta::default() },
         move || with_pool(true, || pooled.batch()),
+    );
+    let mut run = exp::SteadyLoop::new();
+    g.bench_tagged(
+        "steady_run",
+        BenchMeta { elems: Some(exp::E13_STEADY_BATCH), ..BenchMeta::default() },
+        move || with_pool(true, || run.run_batch()),
     );
     let mut unpooled = exp::SteadyLoop::new();
     g.bench_tagged(

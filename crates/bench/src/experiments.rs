@@ -830,6 +830,19 @@ impl SteadyLoop {
         self.exec.reset_history();
         pages
     }
+
+    /// [`batch`](Self::batch) driven through [`Execution::run_for`]: the
+    /// returned transcript shares the recorded history, so reading its last
+    /// world state, dropping it and resetting the history stays
+    /// allocation-free. A `run_for` that copied the history would show up
+    /// as allocations per batch.
+    pub fn run_batch(&mut self) -> u64 {
+        let t = self.exec.run_for(E13_STEADY_BATCH);
+        let pages = t.world_states.last().map(|s| s.total_pages).unwrap_or(0);
+        drop(t);
+        self.exec.reset_history();
+        pages
+    }
 }
 
 impl Default for SteadyLoop {

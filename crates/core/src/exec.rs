@@ -22,6 +22,7 @@ use crate::rng::GocRng;
 use crate::snap::{ForkError, SnapError, SnapReader, SnapState, SnapWriter};
 use crate::strategy::{Halt, ServerStrategy, StepCtx, UserStrategy, WorldStrategy};
 use crate::view::{UserView, ViewEvent};
+use std::sync::Arc;
 
 /// Why an execution run stopped.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,13 +54,21 @@ impl SnapState for StopReason {
 }
 
 /// The recorded outcome of a run: world-state history plus user view.
+///
+/// The history is shared with the [`Execution`] that recorded it: a
+/// transcript holds `Arc`s to the same buffers, so returning one from
+/// [`run`](Execution::run) costs two reference-count bumps, not a copy.
+/// The buffers are copy-on-write — if the execution steps again while a
+/// transcript is still alive, the execution copies its history once and
+/// the transcript keeps the rounds it was handed. Readers see plain
+/// `Vec<S>` and [`UserView`] through `Deref`.
 #[derive(Clone, Debug)]
 pub struct Transcript<S> {
     /// World states; `world_states[0]` is the initial state (before round 0)
     /// and `world_states[t + 1]` the state after round `t`.
-    pub world_states: Vec<S>,
+    pub world_states: Arc<Vec<S>>,
     /// The user's per-round view.
-    pub view: UserView,
+    pub view: Arc<UserView>,
     /// Number of rounds executed.
     pub rounds: u64,
     /// Why the run stopped.
@@ -91,9 +100,9 @@ impl<S> Transcript<S> {
 ///
 /// Produced by [`Execution::transcript_view`] (over the live history) and
 /// [`Transcript::as_view`]. Sensing probes and referees that only *read* the
-/// history should consume this instead of a cloned [`Transcript`], so each
-/// probe costs O(new events) rather than O(history) — the clone-the-world
-/// snapshot is reserved for callers that genuinely need ownership.
+/// history should consume this: it borrows, so it neither bumps a reference
+/// count nor makes a later step of the execution copy its history.
+/// [`to_transcript`](Self::to_transcript) is the explicit deep copy.
 #[derive(Debug)]
 pub struct TranscriptView<'a, S> {
     /// World states; `world_states[0]` is the initial state.
@@ -124,14 +133,14 @@ impl<'a, S> TranscriptView<'a, S> {
         }
     }
 
-    /// An owned transcript, cloning the borrowed history.
+    /// An owned transcript, deep-copying the borrowed history.
     pub fn to_transcript(&self) -> Transcript<S>
     where
         S: Clone,
     {
         Transcript {
-            world_states: self.world_states.to_vec(),
-            view: self.view.clone(),
+            world_states: Arc::new(self.world_states.to_vec()),
+            view: Arc::new(self.view.clone()),
             rounds: self.rounds,
             stop: self.stop.clone(),
         }
@@ -143,6 +152,10 @@ impl<'a, S> TranscriptView<'a, S> {
 /// The engine is generic over the world (whose state type the referee needs)
 /// and takes the user and server as trait objects, mirroring the theory: the
 /// goal fixes the world, while user and server vary over classes.
+///
+/// An execution that drops as the last holder of its recorded history keeps
+/// the emptied buffers for the next execution built on the same thread, so
+/// runs one after another record into the same memory.
 ///
 /// # Examples
 ///
@@ -177,7 +190,7 @@ impl<'a, S> TranscriptView<'a, S> {
 /// );
 /// let t = exec.run(10);
 /// assert_eq!(t.rounds, 10);
-/// assert_eq!(t.world_states, (0..=10).collect::<Vec<_>>());
+/// assert_eq!(*t.world_states, (0..=10).collect::<Vec<_>>());
 /// ```
 #[derive(Debug)]
 pub struct Execution<W: WorldStrategy> {
@@ -202,8 +215,10 @@ pub struct Execution<W: WorldStrategy> {
     server_to_world: Message,
     world_to_user: Message,
     world_to_server: Message,
-    world_states: Vec<W::State>,
-    view: UserView,
+    // The recorded history, shared copy-on-write with the transcripts
+    // `run` and `run_for` hand back.
+    world_states: Arc<Vec<W::State>>,
+    view: Arc<UserView>,
     // Owned StopReason backing the most recent `transcript_view` borrow.
     stop_cache: StopReason,
 }
@@ -252,8 +267,15 @@ impl<W: WorldStrategy> Execution<W> {
             server_to_world: Message::silence(),
             world_to_user: Message::silence(),
             world_to_server: Message::silence(),
-            world_states: vec![initial],
-            view: UserView::new(),
+            world_states: Arc::new({
+                let mut states: Vec<W::State> = spare::take();
+                // A new buffer holds just the initial state, as `vec![..]`
+                // would: idle executions should not carry slack.
+                states.reserve_exact(1);
+                states.push(initial);
+                states
+            }),
+            view: Arc::new(spare::take()),
             stop_cache: StopReason::HorizonExhausted,
         }
     }
@@ -321,8 +343,12 @@ impl<W: WorldStrategy> Execution<W> {
             self.world.step(&mut ctx, &world_in)
         };
 
-        self.view.push(ViewEvent { round: self.round, received: user_in, sent: user_out.clone() });
-        self.world_states.push(self.world.state());
+        Arc::make_mut(&mut self.view).push(ViewEvent {
+            round: self.round,
+            received: user_in,
+            sent: user_out.clone(),
+        });
+        Arc::make_mut(&mut self.world_states).push(self.world.state());
 
         // The user↔server link runs through the channels; a Perfect channel
         // is the identity and consumes no randomness.
@@ -397,14 +423,16 @@ impl<W: WorldStrategy> Execution<W> {
         }
     }
 
-    /// The single owned-snapshot site: clones the recorded history into a
-    /// [`Transcript`]. `run` and `run_for` both funnel through here;
+    /// The single owned-snapshot site: shares the recorded history with a
+    /// [`Transcript`] (two `Arc` clones, no copy). `run` and `run_for` both
+    /// funnel through here. A caller that keeps the transcript while the
+    /// execution steps on makes that next step copy the history once;
     /// read-only consumers should prefer
     /// [`transcript_view`](Self::transcript_view).
     fn snapshot(&self, stop: StopReason) -> Transcript<W::State> {
         Transcript {
-            world_states: self.world_states.clone(),
-            view: self.view.clone(),
+            world_states: Arc::clone(&self.world_states),
+            view: Arc::clone(&self.view),
             rounds: self.round,
             stop,
         }
@@ -427,33 +455,107 @@ impl<W: WorldStrategy> Execution<W> {
     /// this to make the steady-state loop allocation-free.
     pub fn reserve_rounds(&mut self, rounds: u64) {
         let rounds = usize::try_from(rounds).unwrap_or(usize::MAX);
-        self.world_states.reserve(rounds);
-        self.view.reserve(rounds);
+        Arc::make_mut(&mut self.world_states).reserve(rounds);
+        Arc::make_mut(&mut self.view).reserve(rounds);
     }
 
     /// Discards the recorded history (keeping its capacity) and re-records
     /// the current world state as the new "initial" state. The round
-    /// counter, party states and in-flight messages are untouched.
+    /// counter, party states and in-flight messages are untouched. A
+    /// transcript still holding the history keeps it: the execution copies
+    /// it before clearing, so drop transcripts first.
     ///
     /// This is for long-running perf harnesses that would otherwise grow the
     /// history without bound; referees judging the execution should be fed
     /// the history *before* it is forgotten.
     pub fn reset_history(&mut self) {
-        self.world_states.clear();
-        self.world_states.push(self.world.state());
-        self.view.clear();
+        let world_states = Arc::make_mut(&mut self.world_states);
+        world_states.clear();
+        world_states.push(self.world.state());
+        Arc::make_mut(&mut self.view).clear();
     }
 
     /// Consumes the execution and returns its final transcript without
     /// running further rounds.
     pub fn into_transcript(self) -> Transcript<W::State> {
-        let stop = self.stop_reason();
-        Transcript {
-            world_states: self.world_states,
-            view: self.view,
-            rounds: self.round,
-            stop,
+        self.snapshot(self.stop_reason())
+    }
+}
+
+impl<W: WorldStrategy> Drop for Execution<W> {
+    /// Keeps the emptied history buffers for the next execution on this
+    /// thread, unless a transcript or a fork still holds them.
+    fn drop(&mut self) {
+        if let Some(states) = Arc::get_mut(&mut self.world_states) {
+            let mut states = std::mem::take(states);
+            states.clear();
+            let bytes = states.capacity().saturating_mul(std::mem::size_of::<W::State>());
+            spare::keep(states, bytes);
         }
+        if let Some(view) = Arc::get_mut(&mut self.view) {
+            let mut view = std::mem::take(view);
+            view.clear();
+            let bytes = view.capacity().saturating_mul(std::mem::size_of::<ViewEvent>());
+            spare::keep(view, bytes);
+        }
+    }
+}
+
+// Spare history buffers, kept per thread. An execution that drops as the
+// last holder of its history empties both buffers and keeps them here, and
+// the next `Execution::new` on the thread records into them. Executions run
+// one after another then allocate their history once between them. Without
+// this, each run grew and freed a history of megabytes, and whether the
+// allocator handed those pages back to the OS in between depended on what
+// else the heap held, so the page faults, and the time, of the same run
+// varied from one process to the next.
+mod spare {
+    use std::any::{Any, TypeId};
+    use std::cell::RefCell;
+    use std::collections::HashMap;
+
+    /// Buffers kept per thread and buffer type: one for the execution that
+    /// runs next, one for a fork or a nested run.
+    const PER_TYPE: usize = 2;
+    /// Larger buffers are freed, so one long run does not pin its memory.
+    pub(super) const MAX_BYTES: usize = 8 << 20;
+
+    thread_local! {
+        static SPARE: RefCell<HashMap<TypeId, Box<dyn Any>>> = RefCell::new(HashMap::new());
+    }
+
+    /// An empty buffer: one this thread kept, else a new one.
+    pub(super) fn take<T: Default + 'static>() -> T {
+        SPARE
+            .try_with(|spare| {
+                spare
+                    .borrow_mut()
+                    .get_mut(&TypeId::of::<T>())
+                    .and_then(|kept| kept.downcast_mut::<Vec<T>>())
+                    .and_then(Vec::pop)
+            })
+            .ok()
+            .flatten()
+            .unwrap_or_default()
+    }
+
+    /// Keeps an emptied buffer with `bytes` of capacity for a later [`take`].
+    pub(super) fn keep<T: 'static>(buf: T, bytes: usize) {
+        if bytes == 0 || bytes > MAX_BYTES {
+            return;
+        }
+        // Fails only while the thread is exiting; the buffer is freed then.
+        let _ = SPARE.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let kept = spare
+                .entry(TypeId::of::<T>())
+                .or_insert_with(|| Box::new(Vec::<T>::with_capacity(PER_TYPE)))
+                .downcast_mut::<Vec<T>>()
+                .expect("kept buffers are keyed by their type");
+            if kept.len() < PER_TYPE {
+                kept.push(buf);
+            }
+        });
     }
 }
 
@@ -483,7 +585,7 @@ impl<W: WorldStrategy> Execution<W> {
         self.world_to_server.encode(&mut w);
         self.stop_cache.encode(&mut w);
         w.u64(self.world_states.len() as u64);
-        for state in &self.world_states {
+        for state in self.world_states.iter() {
             W::snap_state(state, &mut w)?;
         }
         self.view.encode(&mut w);
@@ -542,8 +644,8 @@ impl<W: WorldStrategy> Execution<W> {
         for _ in 0..n {
             world_states.push(W::restore_state(&mut r)?);
         }
-        self.world_states = world_states;
-        self.view = UserView::decode(&mut r)?;
+        self.world_states = Arc::new(world_states);
+        self.view = Arc::new(UserView::decode(&mut r)?);
         Self::party_block(&mut r, "world", std::any::type_name::<W>(), |b| {
             self.world.restore_snap(b)
         })?;
@@ -599,10 +701,9 @@ impl<W: WorldStrategy + Clone> Execution<W> {
     /// Fails with a [`ForkError`] naming the blocking party if the user,
     /// server or either channel cannot be checkpointed (see
     /// [`UserStrategy::fork`](crate::strategy::UserStrategy::fork)). The
-    /// fork and the original evolve identically under identical stepping —
-    /// the recorded history is cloned, but each message buffer is shared
-    /// copy-on-write, so the clone is O(history length), not
-    /// O(history bytes).
+    /// fork and the original evolve identically under identical stepping.
+    /// The recorded history is shared, not copied: whichever of the two
+    /// steps first while the other still holds it copies it then, once.
     pub fn try_fork(&self) -> Result<Self, ForkError> {
         let server =
             self.server.fork().ok_or_else(|| ForkError::new("server", self.server.name()))?;
@@ -633,8 +734,8 @@ impl<W: WorldStrategy + Clone> Execution<W> {
             server_to_world: self.server_to_world.clone(),
             world_to_user: self.world_to_user.clone(),
             world_to_server: self.world_to_server.clone(),
-            world_states: self.world_states.clone(),
-            view: self.view.clone(),
+            world_states: Arc::clone(&self.world_states),
+            view: Arc::clone(&self.view),
             stop_cache: self.stop_cache.clone(),
         })
     }
@@ -968,6 +1069,152 @@ mod tests {
             wrong.restore(&bytes),
             Err(SnapError::Mismatch { context: "server", .. })
         ));
+    }
+
+    fn silent_recorder(seed: u64) -> Execution<Recorder> {
+        Execution::new(
+            Recorder::default(),
+            Box::new(SilentServer),
+            Box::new(SilentUser),
+            GocRng::seed_from_u64(seed),
+        )
+    }
+
+    #[test]
+    fn run_and_run_for_share_the_history() {
+        let mut exec = silent_recorder(12);
+        let t = exec.run(10);
+        assert_eq!(Arc::strong_count(&t.world_states), 2);
+        assert_eq!(Arc::strong_count(&t.view), 2);
+        drop(exec);
+        assert_eq!(Arc::strong_count(&t.world_states), 1);
+        assert_eq!(Arc::strong_count(&t.view), 1);
+
+        let mut exec = silent_recorder(12);
+        let t = exec.run_for(10);
+        assert_eq!(Arc::strong_count(&t.world_states), 2);
+        assert_eq!(Arc::strong_count(&t.view), 2);
+        drop(exec);
+        assert_eq!(Arc::strong_count(&t.world_states), 1);
+        assert_eq!(Arc::strong_count(&t.view), 1);
+    }
+
+    #[test]
+    fn a_held_transcript_survives_further_runs() {
+        let mut exec = Execution::new(
+            Recorder::default(),
+            Box::new(EchoServer),
+            Box::new(SilentUser),
+            GocRng::seed_from_u64(13),
+        );
+        let t1 = exec.run(10);
+        let t2 = exec.run(10);
+        assert_eq!((t1.rounds, t1.world_states.len(), t1.view.len()), (10, 11, 10));
+        assert_eq!((t2.rounds, t2.world_states.len(), t2.view.len()), (20, 21, 20));
+        assert_eq!(t1.world_states[..], t2.world_states[..11]);
+        assert_eq!(t1.view.events(), &t2.view.events()[..10]);
+
+        let live = exec.transcript_view();
+        assert_eq!(live.world_states, &t2.world_states[..]);
+        assert_eq!(live.view, &*t2.view);
+        assert_eq!((live.rounds, live.stop), (t2.rounds, &t2.stop));
+    }
+
+    #[test]
+    fn forks_that_step_leave_the_pre_fork_transcript_intact() {
+        use crate::toy::{MagicWorld, RelayServer, SayThrough};
+
+        let mut original = Execution::new(
+            MagicWorld::new("xyzzy"),
+            Box::new(RelayServer::with_shift(3)),
+            Box::new(SayThrough::compensating("xyzzy", 3)),
+            GocRng::seed_from_u64(14),
+        );
+        let before = original.run_for(2);
+        let kept = before.as_view().to_transcript();
+        let mut fork = original.try_fork().unwrap();
+        assert!(Arc::ptr_eq(&fork.world_states, &before.world_states));
+        assert!(Arc::ptr_eq(&fork.view, &before.view));
+
+        let a = original.run_for(5);
+        let b = fork.run_for(5);
+        assert_eq!((a.rounds, b.rounds), (7, 7));
+        assert_eq!(a.world_states, b.world_states);
+        assert_eq!(a.view, b.view);
+        assert_eq!(before.world_states, kept.world_states);
+        assert_eq!(before.view, kept.view);
+        assert_eq!(before.world_states.len(), 3);
+    }
+
+    #[test]
+    fn reset_history_leaves_a_held_transcript_intact() {
+        let mut exec = silent_recorder(15);
+        let t = exec.run(10);
+        exec.reset_history();
+        assert_eq!((t.world_states.len(), t.view.len()), (11, 10));
+        assert_eq!((exec.world_states().len(), exec.view().len()), (1, 0));
+        exec.run(3);
+        assert_eq!((t.world_states.len(), t.view.len()), (11, 10));
+        assert_eq!((exec.world_states().len(), exec.view().len()), (4, 3));
+    }
+
+    // The spare-buffer tests run on a thread of their own, so buffers kept
+    // by earlier tests on the test thread cannot stand in the way.
+    fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f).join().unwrap();
+    }
+
+    #[test]
+    fn a_dropped_execution_hands_its_history_buffers_to_the_next() {
+        on_fresh_thread(|| {
+            let mut a = silent_recorder(16);
+            a.run(100);
+            let (states, events) = (a.world_states().as_ptr(), a.view().events().as_ptr());
+            drop(a);
+
+            let mut b = silent_recorder(17);
+            assert_eq!(b.world_states().as_ptr(), states);
+            assert_eq!(b.view().events().as_ptr(), events);
+            assert_eq!((b.world_states().len(), b.view().len()), (1, 0));
+            let mut fresh = silent_recorder(17);
+            assert_ne!(fresh.world_states().as_ptr(), states);
+            assert_eq!(fresh.world_states.capacity(), 1);
+            let (t, u) = (b.run(5), fresh.run(5));
+            assert_eq!(t.world_states, u.world_states);
+            assert_eq!(t.view, u.view);
+        });
+    }
+
+    #[test]
+    fn a_held_transcript_keeps_its_buffers_from_the_next_execution() {
+        on_fresh_thread(|| {
+            let mut a = silent_recorder(18);
+            let t = a.run(10);
+            drop(a);
+            let mut b = silent_recorder(19);
+            b.run(3);
+            let u = b.into_transcript();
+            let c = silent_recorder(20);
+            for held in [&t, &u] {
+                assert_ne!(c.world_states().as_ptr(), held.world_states.as_ptr());
+                assert_ne!(c.view().events().as_ptr(), held.view.events().as_ptr());
+            }
+            assert_eq!((t.world_states.len(), t.view.len()), (11, 10));
+            assert_eq!((u.world_states.len(), u.view.len()), (4, 3));
+        });
+    }
+
+    #[test]
+    fn oversized_history_buffers_are_freed_not_kept() {
+        on_fresh_thread(|| {
+            let mut a = silent_recorder(21);
+            let rounds = spare::MAX_BYTES / std::mem::size_of::<ViewEvent>() + 1;
+            a.reserve_rounds(rounds as u64);
+            let events = a.view().events().as_ptr();
+            drop(a);
+            let b = silent_recorder(22);
+            assert_ne!(b.view().events().as_ptr(), events);
+        });
     }
 
     #[test]

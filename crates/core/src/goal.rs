@@ -261,7 +261,7 @@ mod tests {
     }
 
     fn transcript(states: Vec<u64>, stop: StopReason) -> Transcript<u64> {
-        Transcript { world_states: states, view: UserView::new(), rounds: 0, stop }
+        Transcript { world_states: states.into(), view: UserView::new().into(), rounds: 0, stop }
     }
 
     #[test]

@@ -187,8 +187,8 @@ mod tests {
     fn evaluate_score_clamps() {
         let goal = CompactMagicWordGoal::new("hi", 16);
         let t = Transcript {
-            world_states: vec![],
-            view: crate::view::UserView::new(),
+            world_states: vec![].into(),
+            view: crate::view::UserView::new().into(),
             rounds: 0,
             stop: crate::exec::StopReason::HorizonExhausted,
         };

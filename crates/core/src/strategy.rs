@@ -157,8 +157,10 @@ pub trait ServerStrategy: Debug {
 /// A world strategy: "the rest of the system", whose state sequence the
 /// referee judges.
 pub trait WorldStrategy: Debug {
-    /// The referee-visible snapshot of the world's internal state.
-    type State: Clone + Debug;
+    /// The referee-visible snapshot of the world's internal state. It owns
+    /// its data (`'static`), so an execution can keep its emptied history
+    /// buffer for the next execution on the same thread.
+    type State: Clone + Debug + 'static;
 
     /// Executes one synchronous round.
     fn step(&mut self, ctx: &mut StepCtx<'_>, input: &WorldIn) -> WorldOut;

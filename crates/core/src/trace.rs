@@ -228,8 +228,8 @@ mod tests {
             view.push(ViewEvent { round, received: UserIn::default(), sent });
         }
         let t = Transcript {
-            world_states: Vec::<()>::new(),
-            view,
+            world_states: Vec::<()>::new().into(),
+            view: view.into(),
             rounds: 6,
             stop: StopReason::HorizonExhausted,
         };
@@ -261,8 +261,8 @@ mod tests {
             view.push(ViewEvent { round, received: UserIn::default(), sent });
         }
         let t = Transcript {
-            world_states: Vec::<()>::new(),
-            view,
+            world_states: Vec::<()>::new().into(),
+            view: view.into(),
             rounds: 20,
             stop: StopReason::HorizonExhausted,
         };
@@ -289,8 +289,8 @@ mod tests {
             view.push(ViewEvent { round, received: UserIn::default(), sent });
         }
         let t = Transcript {
-            world_states: Vec::<()>::new(),
-            view,
+            world_states: Vec::<()>::new().into(),
+            view: view.into(),
             rounds: 5,
             stop: StopReason::HorizonExhausted,
         };

@@ -83,6 +83,11 @@ impl UserView {
         self.events.reserve(additional);
     }
 
+    /// Number of events the view can hold without reallocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.events.capacity()
+    }
+
     /// Discards all recorded events, keeping the allocated capacity.
     pub fn clear(&mut self) {
         self.events.clear();

@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// A listen/connect address: `tcp:HOST:PORT` or `unix:PATH`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -196,6 +197,11 @@ pub struct Stats {
     pub errors: AtomicU64,
     /// Frames dropped by the chaos middleware.
     pub chaos_dropped: AtomicU64,
+    /// Failed `accept` calls (each followed by a backoff pause, 1 ms doubling
+    /// to 100 ms).
+    pub accept_errors: AtomicU64,
+    /// Accepted connections dropped because their thread failed to spawn.
+    pub spawn_failures: AtomicU64,
 }
 
 impl Stats {
@@ -207,6 +213,8 @@ impl Stats {
             requests: self.requests.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             chaos_dropped: self.chaos_dropped.load(Ordering::Relaxed),
+            accept_errors: self.accept_errors.load(Ordering::Relaxed),
+            spawn_failures: self.spawn_failures.load(Ordering::Relaxed),
         }
     }
 }
@@ -224,6 +232,10 @@ pub struct StatsSnapshot {
     pub errors: u64,
     /// Frames dropped by the chaos middleware.
     pub chaos_dropped: u64,
+    /// Failed `accept` calls.
+    pub accept_errors: u64,
+    /// Accepted connections dropped because their thread failed to spawn.
+    pub spawn_failures: u64,
 }
 
 /// A running daemon: resolved address plus the join/stop surface.
@@ -291,6 +303,22 @@ fn trigger_shutdown(flag: &AtomicBool, addr: &Addr) {
     let _ = Stream::connect(addr);
 }
 
+/// First pause after a failed `accept`.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
+/// Longest pause between failed `accept`s.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
+
+/// The pause after a failed `accept`, given the previous pause (`None` when
+/// the last `accept` succeeded): 1 ms, doubling to a 100 ms cap. A lasting
+/// error such as `EMFILE` then wakes the acceptor at most ten times a second
+/// instead of spinning it.
+fn accept_backoff(prev: Option<Duration>) -> Duration {
+    match prev {
+        None => ACCEPT_BACKOFF_MIN,
+        Some(d) => (d * 2).min(ACCEPT_BACKOFF_MAX),
+    }
+}
+
 /// Binds, spawns the shards and the acceptor, and returns immediately.
 pub fn start(opts: DaemonOpts) -> std::io::Result<DaemonHandle> {
     let listener = match &opts.addr {
@@ -353,28 +381,41 @@ pub fn start(opts: DaemonOpts) -> std::io::Result<DaemonHandle> {
                 .name("goc-accept".to_string())
                 .spawn(move || {
                     let mut conn_index = 0u64;
+                    let mut backoff = None;
                     loop {
                         let stream = match listener.accept() {
                             Ok(s) => s,
                             Err(_) if shutdown.load(Ordering::SeqCst) => break,
-                            Err(_) => continue,
+                            Err(_) => {
+                                stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                                let pause = accept_backoff(backoff);
+                                backoff = Some(pause);
+                                std::thread::sleep(pause);
+                                continue;
+                            }
                         };
+                        backoff = None;
                         if shutdown.load(Ordering::SeqCst) {
                             break; // the wake-up connect, or a late client
                         }
                         conn_index += 1;
                         let shard_txs = shard_txs.clone();
                         let shutdown = Arc::clone(&shutdown);
-                        let stats = Arc::clone(&stats);
                         let chaos = chaos.as_ref().map(|c| FrameChaos::new(c, conn_index));
                         let accept_addr = accept_addr.clone();
-                        let _ = std::thread::Builder::new()
+                        let conn_stats = Arc::clone(&stats);
+                        let spawned = std::thread::Builder::new()
                             .name(format!("goc-conn-{conn_index}"))
                             .spawn(move || {
                                 serve_connection(
-                                    stream, shard_txs, shutdown, accept_addr, stats, chaos,
+                                    stream, shard_txs, shutdown, accept_addr, conn_stats, chaos,
                                 );
                             });
+                        // The closure, and with it the stream, is dropped:
+                        // the peer sees the connection close.
+                        if spawned.is_err() {
+                            stats.spawn_failures.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 })
                 .expect("spawn accept thread"),
@@ -557,5 +598,23 @@ fn handle_request(sessions: &mut HashMap<u64, Session>, frame: Frame, stats: &St
             other.session().unwrap_or(0),
             "unexpected frame direction".to_string(),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_backoff_doubles_from_1ms_to_a_100ms_cap() {
+        let mut prev = None;
+        let schedule: Vec<u128> = (0..10)
+            .map(|_| {
+                let pause = accept_backoff(prev);
+                prev = Some(pause);
+                pause.as_millis()
+            })
+            .collect();
+        assert_eq!(schedule, [1, 2, 4, 8, 16, 32, 64, 100, 100, 100]);
     }
 }

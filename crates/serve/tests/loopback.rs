@@ -75,6 +75,7 @@ fn tcp_settle_matches_in_process_at_1_and_4_threads() {
     assert_eq!(stats.opened, 2);
     assert_eq!(stats.closed, 2);
     assert_eq!(stats.errors, 0);
+    assert_eq!((stats.accept_errors, stats.spawn_failures), (0, 0));
 }
 
 /// The same identity over a Unix-domain socket.

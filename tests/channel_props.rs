@@ -131,8 +131,8 @@ fn perfect_channels_are_bit_identical_to_the_prechannel_engine() {
             )
             .run(horizon);
 
-            prop_assert_eq!(&t.world_states, &ref_states);
-            prop_assert_eq!(&t.view, &ref_view);
+            prop_assert_eq!(&*t.world_states, &ref_states);
+            prop_assert_eq!(&*t.view, &ref_view);
             prop_assert_eq!(t.rounds, ref_rounds);
             prop_assert_eq!(t.halt().cloned(), ref_halt);
 
@@ -147,8 +147,8 @@ fn perfect_channels_are_bit_identical_to_the_prechannel_engine() {
                 Box::new(Perfect),
             )
             .run(horizon);
-            prop_assert_eq!(&t2.view, &ref_view);
-            prop_assert_eq!(&t2.world_states, &ref_states);
+            prop_assert_eq!(&*t2.view, &ref_view);
+            prop_assert_eq!(&*t2.world_states, &ref_states);
             Ok(())
         },
     );
