@@ -75,12 +75,17 @@ grep -q '"allocs":0' <<<"$run_line" \
   || { echo "CI FAIL: steady_run must record 0 allocs/iter (run_for copied the history)"; exit 1; }
 
 echo "== experiment report smoke (quick) =="
-cargo run --release --offline -p goc-bench --bin goc-report -- --quick
+# Runs under the default policy, Restart — the one the served
+# magic-compact scenario uses; the gate below compares its output too.
+rep_restart=$(cargo run --release --offline -p goc-bench --bin goc-report -- --quick)
+printf '%s\n' "$rep_restart"
 
 echo "== E13 gate: GOC_RESUME policy is observationally inert =="
 # Replay and Resume must be bit-for-bit equivalent across a *whole* report
 # run (every experiment, every table) — resuming a suspended candidate may
-# only change wall-clock, never an observable byte.
+# only change wall-clock, never an observable byte. The default Restart
+# report must match them too: no experiment's printed outcome depends on
+# whether a revisited candidate starts fresh.
 rep_replay=$(GOC_RESUME=replay cargo run --release --offline -p goc-bench --bin goc-report -- --quick)
 rep_resume=$(GOC_RESUME=resume cargo run --release --offline -p goc-bench --bin goc-report -- --quick)
 if [ "$rep_replay" != "$rep_resume" ]; then
@@ -88,7 +93,12 @@ if [ "$rep_replay" != "$rep_resume" ]; then
   diff <(printf '%s\n' "$rep_replay") <(printf '%s\n' "$rep_resume") || true
   exit 1
 fi
-echo "replay == resume (report identical)"
+if [ "$rep_restart" != "$rep_replay" ]; then
+  echo "CI FAIL: goc-report differs under the default policy (restart) vs replay"
+  diff <(printf '%s\n' "$rep_restart") <(printf '%s\n' "$rep_replay") || true
+  exit 1
+fi
+echo "restart == replay == resume (report identical)"
 
 echo "== obs gate: traces are byte-identical across thread counts =="
 # With GOC_TRACE set, the observability layer records spans/events per

@@ -57,7 +57,7 @@ fn main() {
     g.bench_tagged(
         "steady_pooled",
         BenchMeta { elems: Some(exp::E13_STEADY_BATCH), ..BenchMeta::default() },
-        move || with_pool(true, || pooled.batch()),
+        move || with_pool(true, || pooled.step_batch()),
     );
     let mut run = exp::SteadyLoop::new();
     g.bench_tagged(
@@ -69,7 +69,7 @@ fn main() {
     g.bench_tagged(
         "steady_unpooled",
         BenchMeta { elems: Some(exp::E13_STEADY_BATCH), ..BenchMeta::default() },
-        move || with_pool(false, || unpooled.batch()),
+        move || with_pool(false, || unpooled.step_batch()),
     );
     g.finish();
 }

@@ -561,7 +561,7 @@ fn report(quick: bool) {
     let stats = goc_core::buf::with_pool(true, || {
         let mut steady = exp::SteadyLoop::new();
         goc_core::buf::reset_pool_stats();
-        let _ = steady.batch();
+        let _ = steady.step_batch();
         goc_core::buf::pool_stats()
     });
     println!(

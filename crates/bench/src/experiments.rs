@@ -812,8 +812,8 @@ impl SteadyLoop {
         // its equilibrium level (batch boundaries keep one round's messages
         // in flight); the second tops the level up, after which a batch is
         // served entirely from the pool.
-        steady.batch();
-        steady.batch();
+        steady.step_batch();
+        steady.step_batch();
         steady
     }
 
@@ -821,7 +821,7 @@ impl SteadyLoop {
     /// recorded history (returning the batch's spilled buffers to the
     /// pool). Returns the world's total page count, so the optimiser
     /// cannot elide the loop.
-    pub fn batch(&mut self) -> u64 {
+    pub fn step_batch(&mut self) -> u64 {
         for _ in 0..E13_STEADY_BATCH {
             self.exec.step();
         }
@@ -831,7 +831,7 @@ impl SteadyLoop {
         pages
     }
 
-    /// [`batch`](Self::batch) driven through [`Execution::run_for`]: the
+    /// [`step_batch`](Self::step_batch) driven through [`Execution::run_for`]: the
     /// returned transcript shares the recorded history, so reading its last
     /// world state, dropping it and resetting the history stays
     /// allocation-free. A `run_for` that copied the history would show up
@@ -1025,8 +1025,8 @@ mod tests {
         goc_core::buf::with_pool(true, || {
             let mut steady = SteadyLoop::new();
             goc_core::buf::reset_pool_stats();
-            let before = steady.batch();
-            let after = steady.batch();
+            let before = steady.step_batch();
+            let after = steady.step_batch();
             assert!(after > before, "the printer must keep printing");
             let stats = goc_core::buf::pool_stats();
             assert!(

@@ -18,6 +18,10 @@ use crate::strategy::BoxedUser;
 use std::fmt::Debug;
 
 /// An effectively enumerable class of user strategies.
+///
+/// The universal users call [`strategy`](StrategyEnumerator::strategy) once
+/// per switch, for the index their schedule names, and never build a
+/// candidate before it is switched to.
 pub trait StrategyEnumerator: Debug {
     /// The number of strategies, or `None` if the class is infinite.
     fn len(&self) -> Option<usize>;
@@ -30,18 +34,6 @@ pub trait StrategyEnumerator: Debug {
     /// Instantiates a fresh copy of the `index`-th strategy, or `None` if the
     /// index is out of range (finite classes only).
     fn strategy(&self, index: usize) -> Option<BoxedUser>;
-
-    /// Instantiates a batch of strategies at once, one per entry of
-    /// `indices`, preserving order.
-    ///
-    /// The universal users use this to pre-materialise the next few scheduled
-    /// candidates in one call. The default is a sequential loop over
-    /// [`StrategyEnumerator::strategy`]; overrides must be observably
-    /// identical to it: same instances, same order, `None` exactly where
-    /// `strategy` returns `None`.
-    fn batch(&self, indices: &[usize]) -> Vec<Option<BoxedUser>> {
-        indices.iter().map(|&i| self.strategy(i)).collect()
-    }
 
     /// A short human-readable name for diagnostics.
     fn name(&self) -> String {
@@ -56,10 +48,6 @@ impl<E: StrategyEnumerator + ?Sized> StrategyEnumerator for Box<E> {
 
     fn strategy(&self, index: usize) -> Option<BoxedUser> {
         (**self).strategy(index)
-    }
-
-    fn batch(&self, indices: &[usize]) -> Vec<Option<BoxedUser>> {
-        (**self).batch(indices)
     }
 
     fn name(&self) -> String {
@@ -223,7 +211,7 @@ impl<A: StrategyEnumerator, B: StrategyEnumerator> StrategyEnumerator for ChainE
 /// let bounded: Vec<usize> = TriangularSchedule::bounded(2).take(7).collect();
 /// assert_eq!(bounded, vec![0, 0, 1, 0, 1, 0, 1]);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TriangularSchedule {
     row: usize,
     col: usize,
@@ -310,7 +298,7 @@ impl SnapState for TriangularSchedule {
 /// This is the **naive** schedule used by ablation E8: it is *incorrect* for
 /// compact goals in general, because a viable strategy abandoned on an early
 /// spurious negative is never revisited.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinearSchedule {
     next: usize,
     bound: Option<usize>,
@@ -452,17 +440,6 @@ mod tests {
     fn linear_unbounded_counts_up() {
         let order: Vec<usize> = LinearSchedule::unbounded().take(4).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn batch_matches_strategy_per_index() {
-        let e = silent_class(3);
-        let got = e.batch(&[0, 2, 3, 1]);
-        assert_eq!(got.len(), 4);
-        assert!(got[0].is_some());
-        assert!(got[1].is_some());
-        assert!(got[2].is_none(), "out-of-range index must stay None in batch");
-        assert!(got[3].is_some());
     }
 
     #[test]

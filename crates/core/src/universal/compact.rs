@@ -1,7 +1,7 @@
 //! The compact-goal universal user: enumerate and switch on negatives.
 
 use super::schedule::Schedule;
-use super::SwitchRecord;
+use super::{expect_derived, replay, v1_windows, SwitchRecord};
 use crate::enumeration::StrategyEnumerator;
 use crate::msg::{UserIn, UserOut};
 use crate::rng::GocRng;
@@ -9,7 +9,7 @@ use crate::sensing::{BoxedSensing, Sensing};
 use crate::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use crate::strategy::{BoxedUser, Halt, StepCtx, UserStrategy};
 use crate::view::ViewEvent;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// How the universal user treats a candidate when the triangular schedule
@@ -87,7 +87,10 @@ struct Slot {
 /// produces a **negative** indication, abandons it for the next strategy in
 /// the schedule (default: triangular, so every strategy recurs infinitely
 /// often). Sensing is reset at every switch so that one strategy's failures
-/// are not held against its successor.
+/// are not held against its successor. Under every [`ResumePolicy`] a
+/// switch draws one index from the schedule; a candidate is built from the
+/// enumerator only when it is switched to and not taken back from a
+/// suspension slot.
 ///
 /// Correctness under the paper's hypotheses:
 ///
@@ -137,21 +140,14 @@ struct Slot {
 pub struct CompactUniversalUser {
     enumerator: Box<dyn StrategyEnumerator>,
     sensing: BoxedSensing,
+    /// The constructor's schedule, never advanced: restore replays it to
+    /// rebuild the live schedule.
+    origin: Schedule,
     schedule: Schedule,
     current: BoxedUser,
     current_index: usize,
     switches: Vec<SwitchRecord>,
     pending_switch: bool,
-    /// Speculatively pre-built `(index, candidate)` slots, consumed strictly
-    /// in schedule order (see [`super::finite::LOOKAHEAD`]). Only used under
-    /// [`ResumePolicy::Restart`]; the other policies draw from the schedule
-    /// one index at a time because a revisit may not build a candidate at
-    /// all.
-    lookahead: VecDeque<(usize, BoxedUser)>,
-    /// The *following* lookahead window's indices, drawn at the last refill
-    /// and adopted in the same order at the next one (part of the snapshot
-    /// layout). Restart-policy only, like the lookahead itself.
-    next_window: Option<Vec<usize>>,
     policy: ResumePolicy,
     /// Suspension slots, keyed by enumeration index (non-`Restart` only).
     slots: BTreeMap<usize, Slot>,
@@ -239,31 +235,20 @@ impl CompactUniversalUser {
         let mut user = CompactUniversalUser {
             enumerator,
             sensing,
+            origin: schedule.clone(),
             schedule,
             current: Box::new(crate::strategy::SilentUser),
             current_index: 0,
             switches: Vec::new(),
             pending_switch: false,
-            lookahead: VecDeque::new(),
-            next_window: None,
             policy,
             slots: BTreeMap::new(),
             slot_rng: None,
             replayed_rounds: 0,
             resumed_switches: 0,
         };
-        let (first, candidate) = match policy {
-            ResumePolicy::Restart => user.next_candidate(),
-            _ => {
-                let first = user.schedule.next().expect("schedules are infinite");
-                let candidate = user
-                    .enumerator
-                    .strategy(first)
-                    .expect("schedule yielded an index outside the enumeration");
-                (first, candidate)
-            }
-        };
-        user.current = candidate;
+        let first = user.schedule.next().expect("schedules are infinite");
+        user.current = user.build(first);
         user.current_index = first;
         user
     }
@@ -301,52 +286,43 @@ impl CompactUniversalUser {
         self.resumed_switches
     }
 
-    /// Pops the next scheduled `(index, candidate)`, refilling the
-    /// speculative lookahead in one [`StrategyEnumerator::batch`] call when
-    /// it runs dry (same reasoning as the Levin user's lookahead:
-    /// construction is pure and adoption order is unchanged).
-    fn next_candidate(&mut self) -> (usize, BoxedUser) {
-        if self.lookahead.is_empty() {
-            crate::obs_count!("universal.lookahead.refills", 1u64);
-            let indices = match self.next_window.take() {
-                Some(indices) => indices,
-                None => self.draw_window(),
-            };
-            for (&index, candidate) in indices.iter().zip(self.enumerator.batch(&indices)) {
-                let candidate =
-                    candidate.expect("schedule yielded an index outside the enumeration");
-                self.lookahead.push_back((index, candidate));
-            }
-            self.next_window = Some(self.draw_window());
-        }
-        self.lookahead.pop_front().expect("lookahead was just refilled")
+    /// Builds a fresh copy of candidate `index`.
+    fn build(&self, index: usize) -> BoxedUser {
+        self.enumerator
+            .strategy(index)
+            .expect("schedule yielded an index outside the enumeration")
     }
 
-    /// Draws the next [`LOOKAHEAD`](super::finite::LOOKAHEAD) indices from
-    /// the schedule.
-    fn draw_window(&mut self) -> Vec<usize> {
-        (0..super::finite::LOOKAHEAD)
-            .map(|_| self.schedule.next().expect("schedules are infinite"))
-            .collect()
+    /// The v1 snapshot layout's schedule and window fields for a live
+    /// schedule that has yielded `consumed` slots. Only `Restart` users
+    /// ever drew windows early; the other policies record the live schedule
+    /// and empty windows.
+    fn v1_fields(
+        &self,
+        live: &Schedule,
+        consumed: u64,
+    ) -> (Schedule, Vec<usize>, Option<Vec<usize>>) {
+        match self.policy {
+            ResumePolicy::Restart => {
+                let (schedule, ahead, next) = v1_windows(live, consumed);
+                (schedule, ahead, Some(next))
+            }
+            _ => (live.clone(), Vec::new(), None),
+        }
     }
 
     fn switch(&mut self, ctx: &mut StepCtx<'_>) {
         let round = ctx.round;
         crate::obs_event!("universal.eliminate", self.current_index);
-        let next = match self.policy {
+        let next = self.schedule.next().expect("schedules are infinite");
+        match self.policy {
             ResumePolicy::Restart => {
-                let (next, fresh) = self.next_candidate();
                 crate::obs_event!("universal.spawn", next);
-                self.current = fresh;
-                next
+                self.current = self.build(next);
             }
             ResumePolicy::Replay => {
-                let next = self.schedule.next().expect("schedules are infinite");
                 crate::obs_event!("universal.spawn", next);
-                self.current = self
-                    .enumerator
-                    .strategy(next)
-                    .expect("schedule yielded an index outside the enumeration");
+                self.current = self.build(next);
                 // Re-derive the candidate's private stream from scratch and
                 // re-feed its recorded history: position-independent forking
                 // guarantees this reconstructs the abandoned state exactly.
@@ -359,10 +335,8 @@ impl CompactUniversalUser {
                     self.replayed_rounds += slot.history.len() as u64;
                 }
                 self.slot_rng = Some(rng);
-                next
             }
             ResumePolicy::Resume => {
-                let next = self.schedule.next().expect("schedules are infinite");
                 // Suspend the abandoned candidate together with its rng
                 // position.
                 crate::obs_event!("universal.suspend", self.current_index);
@@ -382,16 +356,12 @@ impl CompactUniversalUser {
                     }
                     None => {
                         crate::obs_event!("universal.spawn", next);
-                        self.current = self
-                            .enumerator
-                            .strategy(next)
-                            .expect("schedule yielded an index outside the enumeration");
+                        self.current = self.build(next);
                         self.slot_rng = Some(ctx.rng.fork(SLOT_STREAM_BASE + next as u64));
                     }
                 }
-                next
             }
-        };
+        }
         crate::obs_count!("universal.switches", 1u64);
         self.switches.push(SwitchRecord {
             round,
@@ -463,18 +433,18 @@ impl UserStrategy for CompactUniversalUser {
             ResumePolicy::Replay => 1,
             ResumePolicy::Resume => 2,
         });
-        self.schedule.encode(w);
+        // The v1 layout's window fields are derived, not stored (see
+        // `super::V1_WINDOW`).
+        let consumed = self.switches.len() as u64 + 1;
+        let (schedule, ahead, next) = self.v1_fields(&self.schedule, consumed);
+        schedule.encode(w);
         w.usize(self.current_index);
         w.str(&self.current.name());
         w.block(|w| self.current.save_snap(w))?;
         self.switches.encode(w);
         w.bool(self.pending_switch);
-        // Lookahead candidates are freshly built and never stepped (Restart
-        // policy only), so indices suffice: restore rebuilds them through the
-        // same pure `batch` call.
-        let indices: Vec<usize> = self.lookahead.iter().map(|&(i, _)| i).collect();
-        indices.encode(w);
-        self.next_window.encode(w);
+        ahead.encode(w);
+        next.encode(w);
         self.slot_rng.encode(w);
         w.u64(self.replayed_rounds);
         w.u64(self.resumed_switches);
@@ -512,7 +482,7 @@ impl UserStrategy for CompactUniversalUser {
                 found: format!("{policy:?}"),
             });
         }
-        self.schedule = Schedule::decode(r)?;
+        let stored_schedule = Schedule::decode(r)?;
         self.current_index = r.usize("compact current index")?;
         let saved_name = r.str("compact current name")?.to_string();
         let mut current = self
@@ -532,14 +502,16 @@ impl UserStrategy for CompactUniversalUser {
         self.current = current;
         self.switches = Vec::<SwitchRecord>::decode(r)?;
         self.pending_switch = r.bool("compact pending switch")?;
-        let indices = Vec::<usize>::decode(r)?;
-        self.lookahead.clear();
-        for (&index, candidate) in indices.iter().zip(self.enumerator.batch(&indices)) {
-            let candidate =
-                candidate.ok_or(SnapError::Malformed { context: "compact lookahead index" })?;
-            self.lookahead.push_back((index, candidate));
-        }
-        self.next_window = Option::<Vec<usize>>::decode(r)?;
+        // Every switch consumes one slot after the constructor's first, so
+        // the replay is bounded by the snapshot's own length.
+        let consumed = self.switches.len() as u64 + 1;
+        let (schedule, index) = replay(&self.origin, consumed);
+        expect_derived("compact current index", &index, &self.current_index)?;
+        let (after, ahead, next) = self.v1_fields(&schedule, consumed);
+        expect_derived("compact schedule", &after, &stored_schedule)?;
+        expect_derived("compact current window", &ahead, &Vec::decode(r)?)?;
+        expect_derived("compact next window", &next, &Option::decode(r)?)?;
+        self.schedule = schedule;
         self.slot_rng = Option::<GocRng>::decode(r)?;
         self.replayed_rounds = r.u64("compact replayed rounds")?;
         self.resumed_switches = r.u64("compact resumed switches")?;
@@ -899,5 +871,73 @@ mod tests {
                 "policy {policy:?} failed to settle"
             );
         }
+    }
+
+    fn restart_universal(shifts: u8) -> CompactUniversalUser {
+        CompactUniversalUser::with_policy(
+            Box::new(toy::caesar_class("hi", shifts, true)),
+            Box::new(Deadline::new(toy::ack_sensing(), 3)),
+            ResumePolicy::Restart,
+        )
+    }
+
+    fn save(user: &CompactUniversalUser) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        user.save_snap(&mut SnapWriter::new(&mut bytes)).unwrap();
+        bytes
+    }
+
+    fn restore(into: &mut CompactUniversalUser, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = SnapReader::new(bytes);
+        into.restore_snap(&mut r)?;
+        r.finish()
+    }
+
+    #[test]
+    fn restore_into_a_stepped_receiver_resumes_bit_identically() {
+        for policy in [ResumePolicy::Restart, ResumePolicy::Replay, ResumePolicy::Resume] {
+            let (_, live) = drive(counting_universal(policy), 37);
+            // The receiver has switched every round since construction;
+            // restore replays the constructor's schedule, not its live one.
+            let (_, mut restored) = drive(counting_universal(policy), 90);
+            restore(&mut restored, &save(&live)).unwrap();
+            assert_eq!(save(&restored), save(&live), "policy {policy:?}");
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_corrupt_following_window() {
+        let (_, live) = drive(restart_universal(8), 50);
+        assert!(live.switch_count() > 8, "the window must have been refilled");
+        let mut bytes = save(&live);
+        // The last index of the next window sits right before the fields
+        // below; set its top bit.
+        let mut tail = Vec::new();
+        let mut w = SnapWriter::new(&mut tail);
+        live.slot_rng.encode(&mut w);
+        w.u64(live.replayed_rounds);
+        w.u64(live.resumed_switches);
+        w.u64(0); // no suspension slots under Restart
+        w.block(|w| live.sensing.save_snap(w)).unwrap();
+        let top = bytes.len() - tail.len() - 1;
+        bytes[top] ^= 0x80;
+        let err = restore(&mut restart_universal(8), &bytes).unwrap_err();
+        assert!(
+            matches!(err, SnapError::Mismatch { context: "compact next window", .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_different_schedule() {
+        let (_, live) = drive(restart_universal(8), 50);
+        let mut linear = CompactUniversalUser::with_schedule_and_policy(
+            Box::new(toy::caesar_class("hi", 8, true)),
+            Box::new(Deadline::new(toy::ack_sensing(), 3)),
+            Schedule::linear(Some(8)),
+            ResumePolicy::Restart,
+        );
+        let err = restore(&mut linear, &save(&live)).unwrap_err();
+        assert!(matches!(err, SnapError::Mismatch { .. }), "{err:?}");
     }
 }

@@ -1,22 +1,14 @@
 //! The finite-goal universal user: Levin-style parallel enumeration.
 
 use super::schedule::BudgetSchedule;
-use super::SwitchRecord;
+use super::{expect_derived, replay, v1_windows, SwitchRecord};
 use crate::enumeration::StrategyEnumerator;
 use crate::msg::{UserIn, UserOut};
 use crate::sensing::{BoxedSensing, Sensing};
 use crate::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 use crate::strategy::{BoxedUser, Halt, StepCtx, UserStrategy};
 use crate::view::ViewEvent;
-use std::collections::VecDeque;
 use std::fmt;
-
-/// How many schedule slots the universal users pre-materialise per batch.
-///
-/// Candidate construction is pure, so building the next few scheduled
-/// candidates ahead of time is unobservable. Results are always adopted in
-/// schedule order, so the width only moves work between refills.
-pub(super) const LOOKAHEAD: usize = 8;
 
 /// The universal user strategy for **finite** goals (Theorem 1, finite
 /// case).
@@ -40,6 +32,9 @@ pub(super) const LOOKAHEAD: usize = 8;
 /// The per-candidate overhead is the classic Levin factor: if candidate *i*
 /// succeeds within *b* rounds, the universal user halts within
 /// O(2^i · b) rounds — the "essentially necessary" overhead of §3.
+///
+/// Each candidate is built from the enumerator when the schedule switches
+/// to it, never earlier.
 ///
 /// # Behaviour under faulted channels
 ///
@@ -82,6 +77,10 @@ pub(super) const LOOKAHEAD: usize = 8;
 pub struct LevinUniversalUser {
     enumerator: Box<dyn StrategyEnumerator>,
     sensing: BoxedSensing,
+    /// The constructor's schedule, never advanced: restore replays it to
+    /// rebuild the live schedule, so a restored user can only hold a state
+    /// the live one could have reached.
+    origin: BudgetSchedule,
     schedule: BudgetSchedule,
     current: BoxedUser,
     current_index: usize,
@@ -89,14 +88,6 @@ pub struct LevinUniversalUser {
     halt: Option<Halt>,
     switches: Vec<SwitchRecord>,
     slots_used: u64,
-    /// Speculatively pre-built `(index, budget, candidate)` slots, consumed
-    /// strictly in schedule order (see [`LOOKAHEAD`]).
-    lookahead: VecDeque<(usize, u64, BoxedUser)>,
-    /// The *following* lookahead window, drawn from the schedule at the
-    /// last refill and adopted in the same order at the next one. Drawing
-    /// early is unobservable — the schedule is a pure iterator — and it is
-    /// part of the snapshot layout.
-    next_window: Option<Vec<(usize, u64)>>,
 }
 
 impl fmt::Debug for LevinUniversalUser {
@@ -163,6 +154,7 @@ impl LevinUniversalUser {
         let mut user = LevinUniversalUser {
             enumerator,
             sensing,
+            origin: schedule.clone(),
             schedule,
             current: Box::new(crate::strategy::SilentUser),
             current_index: 0,
@@ -170,8 +162,6 @@ impl LevinUniversalUser {
             halt: None,
             switches: Vec::new(),
             slots_used: 0,
-            lookahead: VecDeque::new(),
-            next_window: None,
         };
         let (first, budget, candidate) = user.next_candidate();
         user.current = candidate;
@@ -200,36 +190,14 @@ impl LevinUniversalUser {
         self.slots_used
     }
 
-    /// Pops the next scheduled `(index, budget, candidate)`, refilling the
-    /// speculative lookahead in one [`StrategyEnumerator::batch`] call when
-    /// it runs dry. Construction is pure and results are consumed strictly
-    /// in schedule order, so this is indistinguishable from building each
-    /// candidate at its switch round.
+    /// Draws the next `(index, budget)` slot and builds its candidate.
     fn next_candidate(&mut self) -> (usize, u64, BoxedUser) {
-        if self.lookahead.is_empty() {
-            crate::obs_count!("universal.lookahead.refills", 1u64);
-            let slots = match self.next_window.take() {
-                Some(slots) => slots,
-                None => self.draw_window(),
-            };
-            let indices: Vec<usize> = slots.iter().map(|&(i, _)| i).collect();
-            for ((index, budget), candidate) in
-                slots.into_iter().zip(self.enumerator.batch(&indices))
-            {
-                let candidate =
-                    candidate.expect("schedule yielded an index outside the enumeration");
-                self.lookahead.push_back((index, budget, candidate));
-            }
-            self.next_window = Some(self.draw_window());
-        }
-        self.lookahead.pop_front().expect("lookahead was just refilled")
-    }
-
-    /// Draws the next [`LOOKAHEAD`] `(index, budget)` slots from the schedule.
-    fn draw_window(&mut self) -> Vec<(usize, u64)> {
-        (0..LOOKAHEAD)
-            .map(|_| self.schedule.next().expect("budget schedules are infinite"))
-            .collect()
+        let (index, budget) = self.schedule.next().expect("budget schedules are infinite");
+        let candidate = self
+            .enumerator
+            .strategy(index)
+            .expect("schedule yielded an index outside the enumeration");
+        (index, budget, candidate)
     }
 
     fn switch(&mut self, round: u64) {
@@ -284,7 +252,10 @@ impl UserStrategy for LevinUniversalUser {
     }
 
     fn save_snap(&self, w: &mut SnapWriter<'_>) -> Result<(), SnapError> {
-        self.schedule.encode(w);
+        // The v1 layout's window fields are derived, not stored (see
+        // `super::V1_WINDOW`).
+        let (schedule, ahead, next) = v1_windows(&self.schedule, self.slots_used + 1);
+        schedule.encode(w);
         w.usize(self.current_index);
         w.str(&self.current.name());
         w.block(|w| self.current.save_snap(w))?;
@@ -292,17 +263,13 @@ impl UserStrategy for LevinUniversalUser {
         self.halt.encode(w);
         self.switches.encode(w);
         w.u64(self.slots_used);
-        // Lookahead candidates are freshly built and never stepped, so
-        // `(index, budget)` pairs suffice: restore rebuilds them through the
-        // same pure `batch` call that built them originally.
-        let slots: Vec<(usize, u64)> = self.lookahead.iter().map(|&(i, b, _)| (i, b)).collect();
-        slots.encode(w);
-        self.next_window.encode(w);
+        ahead.encode(w);
+        Some(next).encode(w);
         w.block(|w| self.sensing.save_snap(w))
     }
 
     fn restore_snap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.schedule = BudgetSchedule::decode(r)?;
+        let stored_schedule = BudgetSchedule::decode(r)?;
         self.current_index = r.usize("levin current index")?;
         let saved_name = r.str("levin current name")?.to_string();
         let mut current = self
@@ -324,17 +291,16 @@ impl UserStrategy for LevinUniversalUser {
         self.halt = Option::<Halt>::decode(r)?;
         self.switches = Vec::<SwitchRecord>::decode(r)?;
         self.slots_used = r.u64("levin slots used")?;
-        let slots = Vec::<(usize, u64)>::decode(r)?;
-        let indices: Vec<usize> = slots.iter().map(|&(i, _)| i).collect();
-        self.lookahead.clear();
-        for ((index, budget), candidate) in
-            slots.into_iter().zip(self.enumerator.batch(&indices))
-        {
-            let candidate =
-                candidate.ok_or(SnapError::Malformed { context: "levin lookahead index" })?;
-            self.lookahead.push_back((index, budget, candidate));
-        }
-        self.next_window = Option::<Vec<(usize, u64)>>::decode(r)?;
+        // Every switch consumes one slot. Checking this first bounds the
+        // replay below by the snapshot's own length.
+        expect_derived("levin slots used", &(self.switches.len() as u64), &self.slots_used)?;
+        let (schedule, (index, _)) = replay(&self.origin, self.slots_used + 1);
+        expect_derived("levin current index", &index, &self.current_index)?;
+        let (after, ahead, next) = v1_windows(&schedule, self.slots_used + 1);
+        expect_derived("levin schedule", &after, &stored_schedule)?;
+        expect_derived("levin current window", &ahead, &Vec::decode(r)?)?;
+        expect_derived("levin next window", &Some(next), &Option::decode(r)?)?;
+        self.schedule = schedule;
         let mut block = r.block("levin sensing block")?;
         self.sensing.restore_snap(&mut block)?;
         block.finish()
@@ -528,5 +494,83 @@ mod tests {
             wrong.restore_snap(&mut r),
             Err(crate::snap::SnapError::Mismatch { .. })
         ));
+    }
+
+    fn stepped(mut user: LevinUniversalUser, rounds: u64, seed: u64) -> LevinUniversalUser {
+        let mut rng = GocRng::seed_from_u64(seed);
+        for round in 0..rounds {
+            let mut ctx = StepCtx::new(round, &mut rng);
+            let _ = user.step(&mut ctx, &UserIn::default());
+        }
+        user
+    }
+
+    fn save(user: &LevinUniversalUser) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        user.save_snap(&mut SnapWriter::new(&mut bytes)).unwrap();
+        bytes
+    }
+
+    fn restore(into: &mut LevinUniversalUser, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = SnapReader::new(bytes);
+        into.restore_snap(&mut r)?;
+        r.finish()
+    }
+
+    #[test]
+    fn restore_into_a_stepped_receiver_resumes_bit_identically() {
+        let live = stepped(universal(8, 4), 57, 21);
+        // The receiver has switched many times since construction; restore
+        // replays the constructor's schedule, not the receiver's live one.
+        let mut restored = stepped(universal(8, 4), 300, 5);
+        restore(&mut restored, &save(&live)).unwrap();
+        assert_eq!(save(&restored), save(&live));
+        let mut a = live;
+        let (mut ra, mut rb) = (GocRng::seed_from_u64(8), GocRng::seed_from_u64(8));
+        for round in 57..250 {
+            let (mut ca, mut cb) = (StepCtx::new(round, &mut ra), StepCtx::new(round, &mut rb));
+            assert_eq!(
+                a.step(&mut ca, &UserIn::default()),
+                restored.step(&mut cb, &UserIn::default()),
+                "diverged at round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_corrupt_following_window() {
+        let live = stepped(universal(8, 4), 57, 21);
+        let mut bytes = save(&live);
+        // The last `(index, budget)` pair of the next window sits right
+        // before the sensing block; set the top bit of its index.
+        let mut tail = Vec::new();
+        SnapWriter::new(&mut tail).block(|w| live.sensing.save_snap(w)).unwrap();
+        let top = bytes.len() - tail.len() - 16 + 7;
+        bytes[top] ^= 0x80;
+        let err = restore(&mut universal(8, 4), &bytes).unwrap_err();
+        assert!(
+            matches!(err, SnapError::Mismatch { context: "levin next window", .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_slots_used_that_disagree_with_the_switch_log() {
+        let mut live = stepped(universal(8, 4), 57, 21);
+        // A hostile count would otherwise make restore replay the schedule
+        // for up to 2^64 slots.
+        live.slots_used = u64::MAX - 1;
+        let err = restore(&mut universal(8, 4), &save(&live)).unwrap_err();
+        assert!(
+            matches!(err, SnapError::Mismatch { context: "levin slots used", .. }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_different_schedule() {
+        let live = stepped(universal(8, 4), 57, 21);
+        let err = restore(&mut universal(8, 6), &save(&live)).unwrap_err();
+        assert!(matches!(err, SnapError::Mismatch { context: "levin schedule", .. }), "{err:?}");
     }
 }

@@ -9,7 +9,7 @@ use crate::snap::{SnapError, SnapReader, SnapState, SnapWriter};
 /// recurs infinitely often). [`Schedule::Linear`] is the naive one-pass
 /// order kept for ablation E8: it can permanently strand the user if a
 /// viable strategy was abandoned on a spurious negative indication.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Schedule {
     /// 0; 0, 1; 0, 1, 2; … — every index recurs infinitely often.
     Triangular(TriangularSchedule),
@@ -93,7 +93,7 @@ impl SnapState for Schedule {
 /// let slots: Vec<(usize, u64)> = LevinSchedule::new(1, None).take(6).collect();
 /// assert_eq!(slots, vec![(0, 1), (0, 2), (1, 1), (0, 4), (1, 2), (2, 1)]);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LevinSchedule {
     base: u64,
     phase: u32,
@@ -195,7 +195,7 @@ impl SnapState for LevinSchedule {
 /// let slots: Vec<(usize, u64)> = RoundRobinDoubling::new(2, 3).take(7).collect();
 /// assert_eq!(slots, vec![(0, 2), (1, 2), (2, 2), (0, 4), (1, 4), (2, 4), (0, 8)]);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoundRobinDoubling {
     base: u64,
     n: usize,
@@ -254,7 +254,7 @@ impl SnapState for RoundRobinDoubling {
 }
 
 /// The budget schedule driving the finite-goal universal user.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BudgetSchedule {
     /// Classic Levin weighting (works for infinite classes; overhead 2^i for
     /// candidate i).

@@ -17,15 +17,32 @@ use goc_core::universal::ResumePolicy;
 use goc_core::prelude::*;
 use goc_testkit::{check, gens, prop_assert};
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 const WORD: &str = "xyzzy";
 
-/// The two corpus scenarios: one per universal-user flavour, both stepped
-/// far enough that schedules, transcripts and candidate state are non-trivial.
+/// Rounds the oracle drives a restored execution: enough to cross several
+/// schedule switches, so state that restore let through is actually used.
+const DRIVE_ROUNDS: usize = 200;
+
+/// The corpus scenarios, stepped far enough that schedules, transcripts and
+/// candidate state are non-trivial.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Corpus {
+    /// Round-robin Levin over the Caesar class.
     Finite,
+    /// The compact user under the slot-table `Resume` policy.
     Compact,
+    /// The served `magic` scenario: round-robin Levin, with the server's
+    /// shift drawn from the seed first.
+    Magic,
+    /// The served `magic-compact` scenario, pinned to its default
+    /// `Restart` policy.
+    MagicCompact,
 }
+
+const ALL_CORPORA: [Corpus; 4] =
+    [Corpus::Finite, Corpus::Compact, Corpus::Magic, Corpus::MagicCompact];
 
 fn build(corpus: Corpus, seed: u64) -> Execution<toy::MagicWorld> {
     let mut rng = GocRng::seed_from_u64(seed);
@@ -52,35 +69,66 @@ fn build(corpus: Corpus, seed: u64) -> Execution<toy::MagicWorld> {
             let server = Box::new(toy::RelayServer::with_shift(5));
             Execution::new(world, server, Box::new(user), rng)
         }
+        Corpus::Magic => {
+            let goal = toy::MagicWordGoal::new(WORD);
+            let user = LevinUniversalUser::round_robin(
+                Box::new(toy::caesar_class(WORD, 16, false)),
+                Box::new(toy::ack_sensing()),
+                8,
+            );
+            let server = Box::new(toy::RelayServer::with_shift(rng.below(16) as u8));
+            Execution::new(goal.spawn_world(&mut rng), server, Box::new(user), rng)
+        }
+        Corpus::MagicCompact => {
+            let goal = toy::CompactMagicWordGoal::new(WORD, 16);
+            let user = CompactUniversalUser::with_policy(
+                Box::new(toy::caesar_class(WORD, 16, true)),
+                Box::new(Deadline::new(toy::ack_sensing(), 16)),
+                ResumePolicy::Restart,
+            );
+            let server = Box::new(toy::RelayServer::with_shift(rng.below(16) as u8));
+            Execution::new(goal.spawn_world(&mut rng), server, Box::new(user), rng)
+        }
     }
 }
 
 /// A real snapshot taken mid-run: every party block populated.
 fn snapshot(corpus: Corpus) -> Vec<u8> {
+    snapshot_at(corpus, 48)
+}
+
+fn snapshot_at(corpus: Corpus, round: u64) -> Vec<u8> {
     let mut exec = build(corpus, 3);
-    for _ in 0..48 {
+    for _ in 0..round {
         exec.step();
     }
     exec.save_to_vec().expect("honest snapshot must encode")
 }
 
-/// The totality oracle: restoring `bytes` into a fresh skeleton must not
-/// panic, and on the rare accidental success the execution must still run.
-fn restore_is_total(corpus: Corpus, bytes: &[u8]) -> Result<bool, String> {
-    let mut exec = build(corpus, 3);
+/// Restores `bytes` into `exec` and, if that succeeds, drives the result
+/// [`DRIVE_ROUNDS`] rounds and re-serializes it. `Ok(false)` is a refusal.
+fn restore_and_drive(exec: &mut Execution<toy::MagicWorld>, bytes: &[u8]) -> Result<bool, String> {
     match exec.restore(bytes) {
         Err(_) => Ok(false),
         Ok(()) => {
-            // Corruption slipped past every check (possible: opaque
-            // payload bytes). The restored state must still be a valid
-            // execution — step it and re-serialize.
-            for _ in 0..4 {
+            for _ in 0..DRIVE_ROUNDS {
                 exec.step();
             }
             exec.save_to_vec().map_err(|e| format!("re-save failed: {e}"))?;
             Ok(true)
         }
     }
+}
+
+/// The totality oracle: restoring `bytes` into a fresh skeleton must not
+/// panic, and on the rare accidental success the execution must still run.
+///
+/// Corruption may slip past every check (possible: opaque payload bytes).
+/// The restored state must then still be a valid execution: it is stepped
+/// [`DRIVE_ROUNDS`] rounds, far enough to reach the schedule state a
+/// restore admitted, and re-serialized.
+fn restore_is_total(corpus: Corpus, bytes: &[u8]) -> Result<bool, String> {
+    restore_and_drive(&mut build(corpus, 3), bytes)
 }
 
 /// Every strict prefix of a snapshot fails to decode: the format's length
@@ -119,6 +167,45 @@ fn byte_stomps_decode_totally() {
                 .unwrap_or_else(|e| panic!("{corpus:?}: stomp at byte {i}: {e}"));
         }
     }
+}
+
+/// Every single-bit flip of each corpus's round-40 snapshot is refused, or
+/// restores and then drives [`DRIVE_ROUNDS`] rounds without a panic. Only
+/// state a live user could have reached may be restored: a flip in a
+/// derived schedule field must be refused, not left to panic at the next
+/// switch. One skeleton per corpus takes every restore, so restoring into
+/// an execution that has already stepped is exercised too.
+#[test]
+fn every_bit_flip_is_refused_or_runs() {
+    let mut failures = Vec::new();
+    for corpus in ALL_CORPORA {
+        let base = snapshot_at(corpus, 40);
+        let mut exec = build(corpus, 3);
+        let (mut restored, mut panics) = (0usize, Vec::new());
+        for bit in 0..base.len() * 8 {
+            let mut hostile = base.clone();
+            hostile[bit / 8] ^= 1 << (bit % 8);
+            match catch_unwind(AssertUnwindSafe(|| restore_and_drive(&mut exec, &hostile))) {
+                Ok(Ok(ran)) => restored += usize::from(ran),
+                Ok(Err(e)) => panic!("{corpus:?}: flip of bit {bit}: {e}"),
+                Err(_) => {
+                    panics.push(bit);
+                    exec = build(corpus, 3);
+                }
+            }
+        }
+        if let Some(first) = panics.first() {
+            failures.push(format!(
+                "{corpus:?}: {} of {} flips panicked (first at byte {}); {restored} restored",
+                panics.len(),
+                base.len() * 8,
+                first / 8,
+            ));
+        }
+        // The honest snapshot still restores into the well-worn skeleton.
+        assert!(restore_and_drive(&mut exec, &base).expect("honest restore runs"));
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// Random single-bit flips are survivable (property-tested with shrinking:

@@ -28,6 +28,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -193,8 +194,10 @@ pub struct Stats {
     pub closed: AtomicU64,
     /// Requests executed by shards.
     pub requests: AtomicU64,
-    /// Error replies sent (decode failures + unknown sessions).
+    /// Error replies sent (decode failures, unknown sessions, panics).
     pub errors: AtomicU64,
+    /// Requests that panicked in a shard; each evicted its session.
+    pub panics: AtomicU64,
     /// Frames dropped by the chaos middleware.
     pub chaos_dropped: AtomicU64,
     /// Failed `accept` calls (each followed by a backoff pause, 1 ms doubling
@@ -212,6 +215,7 @@ impl Stats {
             closed: self.closed.load(Ordering::Relaxed),
             requests: self.requests.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
             chaos_dropped: self.chaos_dropped.load(Ordering::Relaxed),
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
             spawn_failures: self.spawn_failures.load(Ordering::Relaxed),
@@ -230,6 +234,8 @@ pub struct StatsSnapshot {
     pub requests: u64,
     /// Error replies sent.
     pub errors: u64,
+    /// Requests that panicked in a shard.
+    pub panics: u64,
     /// Frames dropped by the chaos middleware.
     pub chaos_dropped: u64,
     /// Failed `accept` calls.
@@ -357,7 +363,10 @@ pub fn start(opts: DaemonOpts) -> std::io::Result<DaemonHandle> {
                         ShardMsg::Stop => break,
                         ShardMsg::Request { conn, frame } => {
                             stats.requests.fetch_add(1, Ordering::Relaxed);
-                            let reply = handle_request(&mut sessions, frame, &stats);
+                            let session = frame.session().unwrap_or(0);
+                            let reply = isolate(&mut sessions, session, &stats, |sessions| {
+                                handle_request(sessions, frame, &stats)
+                            });
                             // A peer that vanished mid-reply is its own
                             // problem; the shard keeps serving others.
                             let _ = conn.send(&reply);
@@ -525,6 +534,27 @@ fn serve_connection(
     }
 }
 
+/// Runs one request against a shard's session table, containing a panic to
+/// that request: the session it names is evicted (its state may be half
+/// updated), the panic is counted, and the reply is an `Error`. Every other
+/// session on the shard carries on.
+fn isolate(
+    sessions: &mut HashMap<u64, Session>,
+    session: u64,
+    stats: &Stats,
+    request: impl FnOnce(&mut HashMap<u64, Session>) -> Frame,
+) -> Frame {
+    match catch_unwind(AssertUnwindSafe(|| request(&mut *sessions))) {
+        Ok(reply) => reply,
+        Err(_) => {
+            sessions.remove(&session);
+            stats.panics.fetch_add(1, Ordering::Relaxed);
+            stats.errors.fetch_add(1, Ordering::Relaxed);
+            Frame::Error { session, message: "request panicked; session evicted".to_string() }
+        }
+    }
+}
+
 /// Executes one decoded request against a shard's session table.
 fn handle_request(sessions: &mut HashMap<u64, Session>, frame: Frame, stats: &Stats) -> Frame {
     let err = |session: u64, message: String| {
@@ -616,5 +646,30 @@ mod tests {
             })
             .collect();
         assert_eq!(schedule, [1, 2, 4, 8, 16, 32, 64, 100, 100, 100]);
+    }
+
+    #[test]
+    fn a_panicking_request_evicts_only_its_session() {
+        let stats = Stats::default();
+        let mut sessions: HashMap<u64, Session> = HashMap::new();
+        for id in [1, 2] {
+            sessions.insert(id, Session::build("magic", id).expect("known scenario"));
+        }
+        let reply = isolate(&mut sessions, 1, &stats, |sessions| {
+            let _ = sessions.get_mut(&1).expect("resident").drive(8);
+            panic!("injected fault");
+        });
+        assert!(matches!(reply, Frame::Error { session: 1, .. }), "{reply:?}");
+        assert!(!sessions.contains_key(&1), "the panicking session is evicted");
+        assert!(sessions.contains_key(&2), "its neighbour stays resident");
+        let snapshot = stats.snapshot();
+        assert_eq!((snapshot.panics, snapshot.errors), (1, 1));
+
+        // A request that does not panic passes its reply through untouched.
+        let reply = isolate(&mut sessions, 2, &stats, |sessions| {
+            handle_request(sessions, Frame::Drive { session: 2, rounds: 4 }, &stats)
+        });
+        assert!(matches!(reply, Frame::Status { session: 2, round: 4, .. }), "{reply:?}");
+        assert_eq!(stats.snapshot().panics, 1);
     }
 }

@@ -322,3 +322,64 @@ fn teardown_drains_with_sessions_left_open() {
     assert_eq!(stats.closed, 0);
     assert_eq!(stats.errors, 0);
 }
+
+/// Byte offset of the next-window record — `Some`, a count of 8, then eight
+/// `(index, budget)` pairs — in a `magic` snapshot whose Levin user is in
+/// its first pass, where that window is slots 8..16 at budget 8.
+fn window_record_offset(snap: &[u8]) -> usize {
+    let mut record = vec![1u8];
+    record.extend_from_slice(&8u64.to_le_bytes());
+    for index in 8..16u64 {
+        record.extend_from_slice(&index.to_le_bytes());
+        record.extend_from_slice(&8u64.to_le_bytes());
+    }
+    let mut hits = (0..snap.len()).filter(|&at| snap[at..].starts_with(&record));
+    let at = hits.next().expect("snapshot records the next window");
+    assert!(hits.next().is_none(), "the next-window record is unique");
+    at
+}
+
+/// A client cannot take down a shard: `Restore` of a `magic` snapshot whose
+/// next schedule window names a candidate outside the class is refused, and
+/// a `Drive` of that id finds no session. Another session on the same shard
+/// keeps running and settles to its in-process outcome.
+#[test]
+fn corrupt_restore_cannot_kill_a_neighbouring_session() {
+    let handle = tcp_daemon(); // 4 shards: ids 0 and 4 share shard 0
+    let seed_a = session_seed(31, 0);
+    let mut a = Client::connect(handle.addr()).expect("connect A");
+    a.open(0, "magic-compact", seed_a).expect("open A");
+    a.drive(0, 64).expect("drive A");
+
+    // Seed 0 relays at shift 15, so its Levin user is still switching, and
+    // would refill from the next window, long after round 40.
+    let mut victim = Session::build("magic", 0).expect("known scenario");
+    victim.step_to(40);
+    assert!(!victim.halted());
+    let mut snap = victim.save_to_vec().expect("snapshot");
+    let first_index = window_record_offset(&snap) + 1 + 8;
+    snap[first_index + 7] ^= 0x80; // top bit of the first index
+
+    let mut attacker = Stream::connect(handle.addr()).expect("connect attacker");
+    if let Stream::Tcp(s) = &attacker {
+        s.set_read_timeout(Some(std::time::Duration::from_secs(5))).expect("timeout");
+    }
+    wire::write_handshake(&mut attacker).expect("handshake out");
+    wire::read_handshake(&mut attacker).expect("handshake in");
+    let mut attack = |frame: Frame| {
+        wire::write_frame(&mut attacker, &frame).expect("send");
+        wire::read_frame(&mut attacker).ok()
+    };
+    let restored =
+        attack(Frame::Restore { session: 4, scenario: "magic".to_string(), seed: 0, snap });
+    let driven = attack(Frame::Drive { session: 4, rounds: 256 });
+
+    let settled = a.drive(0, 192).expect("session A survives");
+    assert_eq!(settled, settle_in_process("magic-compact", seed_a, 256));
+    assert!(matches!(restored, Some(Frame::Error { session: 4, .. })), "restore: {restored:?}");
+    assert!(matches!(driven, Some(Frame::Error { session: 4, .. })), "drive: {driven:?}");
+    a.shutdown().expect("shutdown");
+    let stats = handle.wait();
+    assert_eq!(stats.panics, 0);
+    assert_eq!(stats.errors, 2);
+}

@@ -417,17 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_strategy() {
-        let e = ProgramEnumerator::over(vec![0u8, 1]).with_max_len(3);
-        let indices = [0usize, 5, 14, 15, 99, 7];
-        let got = e.batch(&indices);
-        assert_eq!(got.len(), indices.len());
-        for (k, &i) in indices.iter().enumerate() {
-            assert_eq!(got[k].is_some(), e.strategy(i).is_some(), "index {i}");
-        }
-    }
-
-    #[test]
     fn signature_normalises_opcode_aliases() {
         // 0x01 and 0x11 both decode to EmitA (opcodes are mod 16).
         let a = Program::from_bytes(vec![0x01, b'h']);
@@ -478,16 +467,6 @@ mod tests {
         assert_eq!(d.original_index(0), Some(0));
         assert!(d.strategy(d.total()).is_none());
         assert!(d.name().contains("deduped"));
-    }
-
-    #[test]
-    fn deduped_batch_matches_strategy() {
-        let d = ProgramEnumerator::over(vec![0u8, 1, 15]).with_max_len(2).deduped();
-        let indices: Vec<usize> = (0..d.total() + 2).collect();
-        let got = d.batch(&indices);
-        for (k, &i) in indices.iter().enumerate() {
-            assert_eq!(got[k].is_some(), d.strategy(i).is_some(), "index {i}");
-        }
     }
 
     #[test]

@@ -18,8 +18,8 @@ use goc_testkit::{check, gens, prop_assert_eq};
 fn finite_report(seed: u64, trials: u32, threads: usize) -> SuccessReport {
     let goal = toy::MagicWordGoal::new("hi");
     let server = || Box::new(toy::RelayServer::with_shift(2)) as BoxedServer;
-    // A universal user per trial: exercises the Levin lookahead under the
-    // parallel harness, not just plain strategies.
+    // A universal user per trial: exercises the Levin schedule's switches
+    // under the parallel harness, not just plain strategies.
     let user = || {
         Box::new(LevinUniversalUser::new(
             Box::new(toy::caesar_class("hi", 8, false)),

@@ -1,6 +1,7 @@
 //! Golden-vector pin for the `goc_core::snap` wire format.
 //!
-//! Two canonical snapshots — one per universal-user flavour — are checked
+//! Four canonical snapshots — round-robin and classic Levin for the finite
+//! flavour, `Resume` and `Restart` for the compact one — are checked
 //! **byte-exactly** against files under `tests/golden/`. Any change to the
 //! encoded layout fails this test until `SNAP_VERSION` is bumped and the
 //! vectors are re-blessed, making format drift a decision instead of an
@@ -33,13 +34,24 @@ fn golden_path(name: &str) -> PathBuf {
 /// The canonical finite-flavour scenario (Levin round-robin over the Caesar
 /// class). Everything is pinned: word, class size, budget, seed, shift.
 fn finite_skeleton() -> Execution<toy::MagicWorld> {
+    finite_with(|class, sensing| LevinUniversalUser::round_robin(class, sensing, 8))
+}
+
+/// The same scenario under the classic `LevinSchedule` weighting, whose
+/// schedule cursor has its own encoding.
+fn finite_classic_skeleton() -> Execution<toy::MagicWorld> {
+    finite_with(|class, sensing| LevinUniversalUser::new(class, sensing, 8))
+}
+
+fn finite_with(
+    user: impl FnOnce(Box<dyn StrategyEnumerator>, BoxedSensing) -> LevinUniversalUser,
+) -> Execution<toy::MagicWorld> {
     let mut rng = GocRng::seed_from_u64(SEED);
     let goal = toy::MagicWordGoal::new(WORD);
     let world = goal.spawn_world(&mut rng);
-    let user = LevinUniversalUser::round_robin(
+    let user = user(
         Box::new(toy::caesar_class(WORD, 16, false)),
         Box::new(toy::ack_sensing()),
-        8,
     );
     Execution::new(world, Box::new(toy::RelayServer::with_shift(5)), Box::new(user), rng)
 }
@@ -47,13 +59,24 @@ fn finite_skeleton() -> Execution<toy::MagicWorld> {
 /// The canonical compact-flavour scenario (switch-on-negative user with the
 /// slot-table `Resume` policy — the policy with the most persisted state).
 fn compact_skeleton() -> Execution<toy::MagicWorld> {
+    compact_with(ResumePolicy::Resume)
+}
+
+/// The compact scenario under `Restart`, the default policy and the one the
+/// served `magic-compact` scenario runs: its snapshots carry schedule
+/// windows the other policies leave empty.
+fn compact_restart_skeleton() -> Execution<toy::MagicWorld> {
+    compact_with(ResumePolicy::Restart)
+}
+
+fn compact_with(policy: ResumePolicy) -> Execution<toy::MagicWorld> {
     let mut rng = GocRng::seed_from_u64(SEED);
     let goal = toy::CompactMagicWordGoal::new(WORD, 16);
     let world = goal.spawn_world(&mut rng);
     let user = CompactUniversalUser::with_policy(
         Box::new(toy::caesar_class(WORD, 16, true)),
         Box::new(Deadline::new(toy::ack_sensing(), 16)),
-        ResumePolicy::Resume,
+        policy,
     );
     Execution::new(world, Box::new(toy::RelayServer::with_shift(5)), Box::new(user), rng)
 }
@@ -65,10 +88,12 @@ fn canonical_snapshot(mut exec: Execution<toy::MagicWorld>) -> Vec<u8> {
     exec.save_to_vec().expect("canonical snapshot must encode")
 }
 
-fn vectors() -> [(&'static str, Vec<u8>); 2] {
+fn vectors() -> [(&'static str, Vec<u8>); 4] {
     [
         ("finite_levin_r32.snap", canonical_snapshot(finite_skeleton())),
         ("compact_resume_r32.snap", canonical_snapshot(compact_skeleton())),
+        ("finite_levin_classic_r32.snap", canonical_snapshot(finite_classic_skeleton())),
+        ("compact_restart_r32.snap", canonical_snapshot(compact_restart_skeleton())),
     ]
 }
 
@@ -122,41 +147,60 @@ fn golden_vectors_carry_the_current_header() {
     }
 }
 
-/// Semantic decode: the committed finite vector restores into a fresh
-/// skeleton at the canonical round and finishes the session exactly as an
+/// Restores the committed finite vector `name` into a fresh skeleton at the
+/// canonical round and checks that it finishes the session exactly as an
 /// uninterrupted run does.
-#[test]
-fn golden_finite_vector_restores_and_finishes() {
-    let golden = fs::read(golden_path("finite_levin_r32.snap")).expect("golden vector present");
-    let mut restored = finite_skeleton();
+fn finite_vector_restores_and_finishes(name: &str, skeleton: fn() -> Execution<toy::MagicWorld>) {
+    let golden = fs::read(golden_path(name)).expect("golden vector present");
+    let mut restored = skeleton();
     restored.restore(&golden).expect("golden vector must decode");
     assert_eq!(restored.round(), CHECKPOINT);
     assert_eq!(restored.world_states().len() as u64, CHECKPOINT + 1);
     let t = restored.run(2_000);
 
-    let mut reference = finite_skeleton();
+    let mut reference = skeleton();
     let t_ref = reference.run(2_000);
-    assert_eq!(t.rounds, t_ref.rounds, "settle round drifted");
-    assert_eq!(t.stop, t_ref.stop, "halting verdict drifted");
-    assert_eq!(t.world_states, t_ref.world_states, "world history drifted");
-    assert_eq!(t.view, t_ref.view, "user view drifted");
+    assert_eq!(t.rounds, t_ref.rounds, "{name}: settle round drifted");
+    assert_eq!(t.stop, t_ref.stop, "{name}: halting verdict drifted");
+    assert_eq!(t.world_states, t_ref.world_states, "{name}: world history drifted");
+    assert_eq!(t.view, t_ref.view, "{name}: user view drifted");
 }
 
-/// Semantic decode for the compact vector, including the `Resume` slot
-/// table: the restored copy and an uninterrupted run agree to the horizon.
-#[test]
-fn golden_compact_vector_restores_and_finishes() {
-    let golden = fs::read(golden_path("compact_resume_r32.snap")).expect("golden vector present");
-    let mut restored = compact_skeleton();
+/// The compact counterpart: the restored copy and an uninterrupted run agree
+/// to the horizon.
+fn compact_vector_restores_and_finishes(name: &str, skeleton: fn() -> Execution<toy::MagicWorld>) {
+    let golden = fs::read(golden_path(name)).expect("golden vector present");
+    let mut restored = skeleton();
     restored.restore(&golden).expect("golden vector must decode");
     assert_eq!(restored.round(), CHECKPOINT);
     let t = restored.run_for(400 - CHECKPOINT);
 
-    let mut reference = compact_skeleton();
+    let mut reference = skeleton();
     let t_ref = reference.run_for(400);
-    assert_eq!(t.rounds, t_ref.rounds);
-    assert_eq!(t.world_states, t_ref.world_states, "world history drifted");
-    assert_eq!(t.view, t_ref.view, "user view drifted");
+    assert_eq!(t.rounds, t_ref.rounds, "{name}: round count drifted");
+    assert_eq!(t.world_states, t_ref.world_states, "{name}: world history drifted");
+    assert_eq!(t.view, t_ref.view, "{name}: user view drifted");
+}
+
+#[test]
+fn golden_finite_vector_restores_and_finishes() {
+    finite_vector_restores_and_finishes("finite_levin_r32.snap", finite_skeleton);
+}
+
+#[test]
+fn golden_classic_levin_vector_restores_and_finishes() {
+    finite_vector_restores_and_finishes("finite_levin_classic_r32.snap", finite_classic_skeleton);
+}
+
+/// Includes the `Resume` slot table.
+#[test]
+fn golden_compact_vector_restores_and_finishes() {
+    compact_vector_restores_and_finishes("compact_resume_r32.snap", compact_skeleton);
+}
+
+#[test]
+fn golden_compact_restart_vector_restores_and_finishes() {
+    compact_vector_restores_and_finishes("compact_restart_r32.snap", compact_restart_skeleton);
 }
 
 /// The golden vectors double as cross-config integrity fixtures: restoring
