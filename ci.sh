@@ -21,7 +21,7 @@ echo "== engine knob inventory =="
 # knob is a second code path plus more CI runs, so adding one must show up
 # as a diff to this list.
 knobs=$(grep -rhoE '"GOC_[A-Z0-9_]+"' crates/{core,vm,goals,learning,serve}/src src | tr -d '"' | sort -u | xargs)
-expected_knobs="GOC_MSG_POOL GOC_RESUME GOC_THREADS GOC_TRACE"
+expected_knobs="GOC_MSG_POOL GOC_THREADS GOC_TRACE"
 [ "$knobs" = "$expected_knobs" ] \
   || { echo "CI FAIL: engine knobs are [$knobs], expected [$expected_knobs]"; exit 1; }
 echo "$knobs"
@@ -44,15 +44,16 @@ warnings=$(cargo test --offline --workspace --no-run 2>&1 | grep '^warning' || t
 echo "== bench harness smoke (${GOC_BENCH_QUICK:+quick, }offline) =="
 rm -f target/goc-bench.jsonl  # JSON lines append; start the smoke run clean
 cargo bench --offline -p goc-bench --bench e9_substrate
+# e13 prices the zero-copy round loop: its settle12@t1 arm feeds the
+# normalised settle gate below, divided by e9's exec_rounds/10000 from just
+# before it; the count-allocs feature makes the steady arms record
+# allocations per iteration for the zero-alloc gate.
+cargo bench --offline -p goc-bench --bench e13_zero_copy --features count-allocs
 # e4 carries the sequential-vs-parallel @tN pairs, so the summary below can
 # show the speedup section.
 cargo bench --offline -p goc-bench --bench e4_enumeration_overhead
 # e12 exercises the channel layer (noisy links + scheduled outage recovery).
 cargo bench --offline -p goc-bench --bench e12_noise_sweep
-# e13 prices the zero-copy round loop: settle arms (pooled+resume vs
-# eager+replay) feed the >= 2x gate below; the count-allocs feature makes
-# the steady arms record allocations per iteration for the zero-alloc gate.
-cargo bench --offline -p goc-bench --bench e13_zero_copy --features count-allocs
 # e2 carries the finite-Levin settle medians the BENCH_*.json regression
 # compare below watches across PRs.
 cargo bench --offline -p goc-bench --bench e2_finite_levin
@@ -75,30 +76,8 @@ grep -q '"allocs":0' <<<"$run_line" \
   || { echo "CI FAIL: steady_run must record 0 allocs/iter (run_for copied the history)"; exit 1; }
 
 echo "== experiment report smoke (quick) =="
-# Runs under the default policy, Restart — the one the served
-# magic-compact scenario uses; the gate below compares its output too.
-rep_restart=$(cargo run --release --offline -p goc-bench --bin goc-report -- --quick)
-printf '%s\n' "$rep_restart"
-
-echo "== E13 gate: GOC_RESUME policy is observationally inert =="
-# Replay and Resume must be bit-for-bit equivalent across a *whole* report
-# run (every experiment, every table) — resuming a suspended candidate may
-# only change wall-clock, never an observable byte. The default Restart
-# report must match them too: no experiment's printed outcome depends on
-# whether a revisited candidate starts fresh.
-rep_replay=$(GOC_RESUME=replay cargo run --release --offline -p goc-bench --bin goc-report -- --quick)
-rep_resume=$(GOC_RESUME=resume cargo run --release --offline -p goc-bench --bin goc-report -- --quick)
-if [ "$rep_replay" != "$rep_resume" ]; then
-  echo "CI FAIL: goc-report differs under GOC_RESUME=replay vs resume"
-  diff <(printf '%s\n' "$rep_replay") <(printf '%s\n' "$rep_resume") || true
-  exit 1
-fi
-if [ "$rep_restart" != "$rep_replay" ]; then
-  echo "CI FAIL: goc-report differs under the default policy (restart) vs replay"
-  diff <(printf '%s\n' "$rep_restart") <(printf '%s\n' "$rep_replay") || true
-  exit 1
-fi
-echo "restart == replay == resume (report identical)"
+rep=$(cargo run --release --offline -p goc-bench --bin goc-report -- --quick)
+printf '%s\n' "$rep"
 
 echo "== obs gate: traces are byte-identical across thread counts =="
 # With GOC_TRACE set, the observability layer records spans/events per
@@ -234,17 +213,50 @@ printf '%s\n' "$summary"
 # means the bench metadata plumbing broke.
 grep -q "parallel speedup" <<<"$summary" || { echo "CI FAIL: speedup section missing from bench summary"; exit 1; }
 
-echo "== E13 gate: settle improvement >= 2x (eager-replay vs pooled-resume, t1) =="
-ratio=$(grep -o '[0-9.]*x improvement' <<<"$summary" | tail -n 1 | grep -o '^[0-9.]*')
-[ -n "$ratio" ] || { echo "CI FAIL: E13 improvement line missing from bench summary"; exit 1; }
-echo "measured improvement: ${ratio}x"
-awk -v r="$ratio" 'BEGIN { exit !(r >= 2.0) }' \
-  || { echo "CI FAIL: E13 settle improvement ${ratio}x is below the 2x gate"; exit 1; }
+echo "== E13 gate: shipped settle time, normalised, within 10% of the committed snapshot (t1) =="
+# A recording's ratio is settle12@t1's fastest sample over the fastest
+# sample of e9_substrate/exec_rounds/10000 recorded just before it, so a
+# host that is uniformly slower or faster cancels out. On a shared 2-vCPU
+# host single ratios still scatter by about +-15%, so the gate takes the
+# median of five recordings: the smoke run above and four more e9+e13
+# pairs. That median may exceed the newest BENCH_*.json's ratio by at most
+# 10%; an excess must reproduce on five fresh pairs before it fails.
+e13_ratio() {
+  awk -F'"min_ns":' '
+    /"group":"e9_substrate","id":"exec_rounds\/10000"/ { split($2, a, ","); base = a[1] }
+    /"group":"e13_zero_copy","id":"settle12@t1"/ { split($2, a, ","); settle = a[1] }
+    END { if (base > 0 && settle > 0) printf "%.3f\n", settle / base }' "$1"
+}
+e13_median() {
+  for f in "$@"; do e13_ratio "$f"; done | sort -n \
+    | awk '{ r[NR] = $1 } END { if (NR == 5) print r[3] }'
+}
+e13_pairs() {
+  for i in $(seq 1 "$1"); do
+    f="target/goc-bench-e13-$2-$i.jsonl"
+    rm -f "$f"
+    GOC_BENCH_JSON="$PWD/$f" cargo bench --offline -p goc-bench --bench e9_substrate > /dev/null
+    GOC_BENCH_JSON="$PWD/$f" cargo bench --offline -p goc-bench --bench e13_zero_copy --features count-allocs > /dev/null
+    echo "$f"
+  done
+}
+e13_snap=$(ls BENCH_*.json 2>/dev/null | sort -V | tail -n 1)
+e13_base=$(e13_ratio "$e13_snap")
+[ -n "$e13_base" ] || { echo "CI FAIL: $e13_snap lacks settle12@t1 or exec_rounds/10000"; exit 1; }
+e13_now=$(e13_median target/goc-bench.jsonl $(e13_pairs 4 run))
+[ -n "$e13_now" ] || { echo "CI FAIL: an E13 recording lacks settle12@t1 or exec_rounds/10000"; exit 1; }
+echo "settle12@t1 / exec_rounds/10000, median of 5: ${e13_now} (${e13_snap}: ${e13_base})"
+if ! awk -v r="$e13_now" -v b="$e13_base" 'BEGIN { exit !(r <= b * 1.10) }'; then
+  echo "possible E13 settle regression; re-recording five e9+e13 pairs to confirm"
+  e13_now=$(e13_median $(e13_pairs 5 recheck))
+  echo "re-recorded median: ${e13_now}"
+  awk -v r="$e13_now" -v b="$e13_base" 'BEGIN { exit !(r <= b * 1.10) }' \
+    || { echo "CI FAIL: E13 settle ratio ${e13_now} exceeds ${e13_snap}'s ${e13_base} by more than 10% (reproduced on re-run)"; exit 1; }
+fi
 
 echo "== E16 gate: dispatch-table improvement >= 1.3x (match vs table core, micro) =="
-# The E16 line reads "x dispatch improvement" so the E13 grep above cannot
-# match it, and vice versa; the section's settle line reads "x settle win"
-# to stay out of both greps.
+# The E16 line reads "x dispatch improvement"; the section's settle line
+# reads "x settle win", so neither grep matches the other's line.
 ratio16=$(grep -o '[0-9.]*x dispatch improvement' <<<"$summary" | tail -n 1 | grep -o '^[0-9.]*')
 [ -n "$ratio16" ] || { echo "CI FAIL: E16 improvement line missing from bench summary"; exit 1; }
 echo "measured dispatch improvement: ${ratio16}x"

@@ -1,17 +1,15 @@
 //! E13 — the zero-copy round loop, measured end to end.
 //!
-//! Two comparisons, both over the E1 printing class with a spilled
+//! Two measurements, both over the E1 printing class with a spilled
 //! (48-byte) document so the message pool is actually exercised:
 //!
-//! - **Settle wall-clock**: the compact universal user conquering all 12
-//!   dialects under `Resume` + pooled copy-on-write buffers (the optimised
-//!   path) against `Replay` + eager value-semantics copies — an honest
-//!   reproduction of the pre-zero-copy engine, whose `Vec<u8>` messages
-//!   deep-copied on every channel hand-off and view append, and whose
-//!   revisits re-fed each candidate's full history (O(i²) stepped rounds,
-//!   which `Resume` replaces with an O(1) suspend/take). Both arms compute
-//!   bit-identical settle rounds. The `@t1`/`@t4` variants run the 12 trials
-//!   through the parallel engine.
+//! - **Settle wall-clock** (`settle12@t1`/`@t4`): the compact universal user
+//!   conquering all 12 dialects with pooled copy-on-write buffers, the path
+//!   that ships, run through the parallel engine at 1 and 4 threads.
+//!   `ci.sh` divides the `@t1` row's fastest sample by that of
+//!   `e9_substrate/exec_rounds/10000` recorded just before it, and gates
+//!   the median of five such ratios against the newest committed
+//!   `BENCH_*.json`'s.
 //! - **Steady-state allocations**: a warmed informed-user loop batched by
 //!   [`exp::E13_STEADY_BATCH`] rounds, pooled vs unpooled. With the
 //!   `count-allocs` feature the harness records allocations per iteration;
@@ -21,32 +19,22 @@
 //!   so a transcript that copies the history fails the same gate.
 
 use goc_bench::experiments as exp;
-use goc_core::buf::{with_pool, CopyMode};
+use goc_core::buf::with_pool;
 use goc_core::par::with_thread_count;
-use goc_core::prelude::ResumePolicy;
 use goc_testkit::bench::{Bench, BenchMeta};
 
 /// Horizon for the settle arms: past every dialect's settle round (the
 /// slowest settles at 1851, and the compact verdict needs a clean
-/// `horizon/10` tail after it) but not so far past it that the identical
-/// settled tails drown out the switching-phase work being compared. At this
-/// horizon the eager-replay arm measures ~4x the pooled-resume arm at `t1`
-/// (the CI gate requires >= 2x).
+/// `horizon/10` tail after it) but not so far past it that the settled
+/// tails drown out the switching-phase work.
 const SETTLE_HORIZON: u64 = 2_400;
 
 fn main() {
-    let mut g = Bench::group("e13_zero_copy").samples(10);
+    let mut g = Bench::group("e13_zero_copy").min_samples(20);
     for threads in [1usize, 4] {
-        let meta = || BenchMeta { threads: Some(threads as u64), ..BenchMeta::default() };
-        g.bench_tagged(format!("settle12_replay_eager@t{threads}"), meta(), || {
-            with_thread_count(threads, || {
-                exp::e13_settle12(ResumePolicy::Replay, CopyMode::Eager, SETTLE_HORIZON)
-            })
-        });
-        g.bench_tagged(format!("settle12_resume_pooled@t{threads}"), meta(), || {
-            with_thread_count(threads, || {
-                exp::e13_settle12(ResumePolicy::Resume, CopyMode::Pooled, SETTLE_HORIZON)
-            })
+        let meta = BenchMeta { threads: Some(threads as u64), ..BenchMeta::default() };
+        g.bench_tagged(format!("settle12@t{threads}"), meta, || {
+            with_thread_count(threads, || exp::e13_settle12(SETTLE_HORIZON))
         });
     }
 

@@ -5,7 +5,7 @@ use goc_bench::experiments as exp;
 use goc_testkit::bench::Bench;
 
 fn main() {
-    let mut g = Bench::group("e9_substrate").samples(20);
+    let mut g = Bench::group("e9_substrate").min_samples(20);
     for rounds in [1_000u64, 10_000] {
         g.bench_elems(format!("exec_rounds/{rounds}"), rounds, || exp::e9_exec_rounds(rounds));
     }

@@ -22,8 +22,6 @@
 //!   quick-mode medians).
 
 use goc_bench::experiments as exp;
-use goc_core::buf::CopyMode;
-use goc_core::prelude::ResumePolicy;
 use goc_testkit::bench::{default_json_path, fmt_bytes, fmt_ns, BenchRecord};
 
 fn main() {
@@ -292,33 +290,9 @@ fn bench_summary(path: &str) {
         );
     }
     speedup_section(&records);
-    e13_improvement_section(&records);
     e16_improvement_section(&records);
     if skipped > 0 {
         println!("\n({skipped} malformed lines skipped)");
-    }
-}
-
-/// Prints the E13 headline number: wall-clock improvement of the zero-copy
-/// engine (pooled buffers + `Resume`) over an honest reproduction of its
-/// predecessor (eager deep copies + `Replay`) on the 12-dialect settle
-/// workload, single-threaded. CI gates this at >= 2x.
-fn e13_improvement_section(records: &[BenchRecord]) {
-    // When a variant was benched more than once (appended runs), the latest
-    // record wins.
-    let median = |id: &str| records.iter().rev().find(|r| r.id == id).map(|r| r.median_ns);
-    let off = median("settle12_replay_eager@t1");
-    let on = median("settle12_resume_pooled@t1");
-    if let (Some(off), Some(on)) = (off, on) {
-        if on > 0 {
-            println!("\n## E13 zero-copy settle improvement (t1, eager-replay vs pooled-resume)");
-            println!(
-                "off {} -> on {}  ({:.2}x improvement)",
-                fmt_ns(off),
-                fmt_ns(on),
-                off as f64 / on as f64
-            );
-        }
     }
 }
 
@@ -326,10 +300,9 @@ fn e13_improvement_section(records: &[BenchRecord]) {
 /// predecoded dispatch-table core over the legacy `match` loop, on the raw
 /// instruction micro-bench (CI gates this at >= 1.3x), on the pure-jump
 /// burner (the spin fast-forward alone, ungated) and on the finite-Levin VM
-/// settle workload (table plus spin; CI gates this at >= 2x). The "dispatch
-/// improvement" wording keeps the micro line out of the E13 grep, and the
-/// burner's "spin win" and the settle line's "settle win" wordings keep
-/// them out of every gate's grep.
+/// settle workload (table plus spin; CI gates this at >= 2x). The micro
+/// line reads "dispatch improvement", the burner's "spin win" and the settle
+/// line's "settle win", so each gate's grep matches only its own line.
 fn e16_improvement_section(records: &[BenchRecord]) {
     let median = |id: &str| records.iter().rev().find(|r| r.id == id).map(|r| r.median_ns);
     let via_match = median("vm_instructions_10k_rounds_match");
@@ -549,13 +522,10 @@ fn report(quick: bool) {
     println!("vm instructions retired:   {}", exp::e9_vm_instructions(vm_rounds));
 
     // --- E13 --------------------------------------------------------------
-    println!("\n## E13 — zero-copy round loop (revisit-policy parity on the 12-dialect class)");
+    println!("\n## E13 — zero-copy round loop (settle rounds on the 12-dialect class)");
     let h13 = if quick { 2_400 } else { 8_000 };
-    let replay = exp::e13_settle12(ResumePolicy::Replay, CopyMode::Eager, h13);
-    let resume = exp::e13_settle12(ResumePolicy::Resume, CopyMode::Pooled, h13);
-    assert_eq!(replay, resume, "eager-replay and pooled-resume must settle identically");
     println!("{:>8} {:>14}", "dialect", "settle round");
-    for (idx, settle) in resume.iter().enumerate() {
+    for (idx, settle) in exp::e13_settle12(h13).iter().enumerate() {
         println!("{idx:>8} {settle:>14}");
     }
     let stats = goc_core::buf::with_pool(true, || {

@@ -1,7 +1,6 @@
 //! Deterministic experiment runners shared by the `goc-testkit` timing
 //! benches and the `goc-report` table generator.
 
-use goc_core::buf::CopyMode;
 use goc_core::channel::Noisy;
 use goc_core::enumeration::SliceEnumerator;
 use goc_core::harness::{compact_success, finite_success, SuccessReport};
@@ -716,7 +715,7 @@ pub fn e12_burst_outcome(burst_len: u64, horizon: u64) -> (bool, u64) {
 }
 
 // ---------------------------------------------------------------------------
-// E13 — zero-copy round loop: resume policy × message pool
+// E13 — zero-copy round loop: the shipped settle path and the message pool
 // ---------------------------------------------------------------------------
 
 /// The E13 document: long enough (> `goc_core::buf::INLINE_CAP`) that every
@@ -732,53 +731,40 @@ pub const E13_DOCUMENT: &str = "zero-copy-manifesto-0123456789-abcdefghijklmnop"
 /// entirely from the pool.
 pub const E13_STEADY_BATCH: u64 = 128;
 
-/// One E13 conquest: the compact universal user under `policy` (with the
-/// given message [`CopyMode`] forced for the whole run) settles on dialect
-/// `idx` of the E1 class. Returns the settle round (last bad prefix).
+/// One E13 conquest: the compact universal user settles on dialect `idx`
+/// of the E1 class. Returns the settle round (last bad prefix).
 ///
 /// Judged through the borrowing [`TranscriptView`] path — the run never
-/// clones its history. `Replay` and `Resume` produce bit-identical
-/// executions (same rng stream per slot, same adoption order), so their
-/// settle rounds must agree; only the *work* per switch differs, which is
-/// what the E13 bench times. The "off" arm runs `Replay` under
-/// [`CopyMode::Eager`] — the honest pre-zero-copy engine, whose
-/// `Vec<u8>`-backed messages deep-copied on every channel hand-off and view
-/// append (each non-silent message is cloned several times per round by the
-/// round loop alone).
-pub fn e13_settle(idx: usize, policy: ResumePolicy, mode: CopyMode, horizon: u64) -> u64 {
-    goc_core::buf::with_copy_mode(mode, || {
-        let dialects = e1_dialects();
-        let goal = print::CompactPrintGoal::new(E13_DOCUMENT, 64);
-        let user = CompactUniversalUser::with_policy(
-            Box::new(print::dialect_class(E13_DOCUMENT, &dialects, true)),
-            Box::new(Deadline::new(print::tray_sensing(E13_DOCUMENT), 24)),
-            policy,
-        );
-        let mut rng = GocRng::seed_from_u64(1300 + idx as u64);
-        let mut exec = Execution::new(
-            goal.spawn_world(&mut rng),
-            Box::new(print::DriverServer::new(dialects[idx].clone())),
-            Box::new(user),
-            rng,
-        );
-        exec.reserve_rounds(horizon);
-        for _ in 0..horizon {
-            exec.step();
-        }
-        let v = evaluate_compact_view(&goal, exec.transcript_view());
-        assert!(v.achieved(horizon / 10), "E13 idx {idx} policy {policy:?}: {v:?}");
-        v.last_bad_prefix.unwrap_or(0)
-    })
+/// clones its history.
+pub fn e13_settle(idx: usize, horizon: u64) -> u64 {
+    let dialects = e1_dialects();
+    let goal = print::CompactPrintGoal::new(E13_DOCUMENT, 64);
+    let user = CompactUniversalUser::new(
+        Box::new(print::dialect_class(E13_DOCUMENT, &dialects, true)),
+        Box::new(Deadline::new(print::tray_sensing(E13_DOCUMENT), 24)),
+    );
+    let mut rng = GocRng::seed_from_u64(1300 + idx as u64);
+    let mut exec = Execution::new(
+        goal.spawn_world(&mut rng),
+        Box::new(print::DriverServer::new(dialects[idx].clone())),
+        Box::new(user),
+        rng,
+    );
+    exec.reserve_rounds(horizon);
+    for _ in 0..horizon {
+        exec.step();
+    }
+    let v = evaluate_compact_view(&goal, exec.transcript_view());
+    assert!(v.achieved(horizon / 10), "E13 idx {idx}: {v:?}");
+    v.last_bad_prefix.unwrap_or(0)
 }
 
-/// All 12 dialects conquered under `policy` via [`goc_core::par::par_map`];
-/// returns the settle rounds in dialect order. Trials are independent and
+/// All 12 dialects conquered via [`goc_core::par::par_map`]; returns the
+/// settle rounds in dialect order. Trials are independent and
 /// order-preserved, so the vector is bit-identical for every `GOC_THREADS`.
-/// The copy mode is applied inside each trial (it is thread-local, so it
-/// must be scoped on the worker, not the caller).
-pub fn e13_settle12(policy: ResumePolicy, mode: CopyMode, horizon: u64) -> Vec<u64> {
+pub fn e13_settle12(horizon: u64) -> Vec<u64> {
     let n = e1_dialects().len();
-    goc_core::par::par_map(n, |idx| e13_settle(idx, policy, mode, horizon))
+    goc_core::par::par_map(n, |idx| e13_settle(idx, horizon))
 }
 
 /// A warmed steady-state printing system: an informed persistent user
@@ -1002,22 +988,13 @@ mod tests {
     }
 
     #[test]
-    fn e13_replay_and_resume_settle_identically() {
-        // Bit-identical executions across both the policy axis and the copy
-        // mode axis: only the work per round/switch differs.
-        let replay = e13_settle(3, ResumePolicy::Replay, CopyMode::Eager, 8_000);
-        let resume = e13_settle(3, ResumePolicy::Resume, CopyMode::Pooled, 8_000);
-        assert_eq!(replay, resume, "Replay and Resume must settle at the same round");
-        assert!(resume > 0, "dialect 3 is not first: settling takes switches");
-    }
-
-    #[test]
     fn e13_settle12_is_thread_count_invariant() {
         use goc_core::par::with_thread_count;
-        let seq = with_thread_count(1, || e13_settle12(ResumePolicy::Resume, CopyMode::Pooled, 8_000));
-        let par = with_thread_count(4, || e13_settle12(ResumePolicy::Resume, CopyMode::Pooled, 8_000));
+        let seq = with_thread_count(1, || e13_settle12(8_000));
+        let par = with_thread_count(4, || e13_settle12(8_000));
         assert_eq!(seq, par);
         assert_eq!(seq.len(), e1_dialects().len());
+        assert!(seq[3] > 0, "dialect 3 is not first: settling takes switches");
     }
 
     #[test]

@@ -18,13 +18,8 @@
 //! The pool is on by default; `GOC_MSG_POOL=0` disables it process-wide (each
 //! thread reads the variable once), and [`with_pool`] scopes an override for
 //! tests that compare pooled against unpooled behaviour without racing on the
-//! environment. [`with_copy_mode`] additionally exposes
-//! [`CopyMode::Eager`], which restores the pre-zero-copy **value
-//! semantics** — every clone of a spilled buffer deep-copies its payload into
-//! a fresh allocation, as a plain `Vec<u8>`-backed message type would. The
-//! bench harness uses it to measure this engine against an honest
-//! reproduction of its predecessor; representations never leak into message
-//! equality, so the mode is observationally inert.
+//! environment. Representations never leak into message equality, so the
+//! setting is observationally inert.
 
 use std::cell::{Cell, RefCell};
 use std::ptr::NonNull;
@@ -119,74 +114,42 @@ pub struct PoolStats {
     pub recycled: u64,
 }
 
-/// How spilled payloads are allocated and cloned on the current thread.
-///
-/// The default is [`Pooled`](CopyMode::Pooled); the other modes exist so
-/// benchmarks and tests can measure the zero-copy engine against controlled
-/// regressions of itself. All three modes produce byte-identical messages —
-/// only the allocation traffic differs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CopyMode {
-    /// Refcounted spills served from the thread-local pool (the default).
-    #[default]
-    Pooled,
-    /// Refcounted spills, each freshly allocated (pool bypassed).
-    Unpooled,
-    /// Pre-zero-copy value semantics: the pool is bypassed **and** every
-    /// clone of a spilled buffer deep-copies the payload into a fresh
-    /// allocation, exactly as a `Vec<u8>`-backed message type behaves.
-    Eager,
-}
-
 thread_local! {
     static POOL: RefCell<Vec<Box<SpillInner>>> = const { RefCell::new(Vec::new()) };
-    static MODE_OVERRIDE: Cell<Option<CopyMode>> = const { Cell::new(None) };
-    static MODE_ENV: Cell<Option<CopyMode>> = const { Cell::new(None) };
+    static POOL_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
+    static POOL_ENV: Cell<Option<bool>> = const { Cell::new(None) };
     static STATS: Cell<PoolStats> = const { Cell::new(PoolStats { hits: 0, misses: 0, recycled: 0 }) };
 }
 
-/// The copy mode in effect on this thread.
-pub fn copy_mode() -> CopyMode {
-    if let Some(forced) = MODE_OVERRIDE.with(|c| c.get()) {
+/// Whether spills on this thread are served from and returned to the pool.
+fn pool_enabled() -> bool {
+    if let Some(forced) = POOL_OVERRIDE.with(|c| c.get()) {
         return forced;
     }
-    MODE_ENV.with(|c| match c.get() {
+    POOL_ENV.with(|c| match c.get() {
         Some(v) => v,
         None => {
-            let v = match std::env::var("GOC_MSG_POOL").as_deref() {
-                Ok("0") => CopyMode::Unpooled,
-                Ok("eager") => CopyMode::Eager,
-                _ => CopyMode::Pooled,
-            };
+            let v = std::env::var("GOC_MSG_POOL").as_deref() != Ok("0");
             c.set(Some(v));
             v
         }
     })
 }
 
-fn pool_enabled() -> bool {
-    copy_mode() == CopyMode::Pooled
-}
-
-/// Runs `f` under an explicit [`CopyMode`] on this thread, restoring the
+/// Runs `f` with the pool enabled or disabled on this thread, restoring the
 /// previous setting afterwards. This is the race-free way for tests and
 /// benches to compare allocation regimes (mutating `GOC_MSG_POOL` mid-process
 /// would race against other test threads).
-pub fn with_copy_mode<T>(mode: CopyMode, f: impl FnOnce() -> T) -> T {
-    let prev = MODE_OVERRIDE.with(|c| c.replace(Some(mode)));
-    struct Restore(Option<CopyMode>);
+pub fn with_pool<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
+    let prev = POOL_OVERRIDE.with(|c| c.replace(Some(enabled)));
+    struct Restore(Option<bool>);
     impl Drop for Restore {
         fn drop(&mut self) {
-            MODE_OVERRIDE.with(|c| c.set(self.0));
+            POOL_OVERRIDE.with(|c| c.set(self.0));
         }
     }
     let _restore = Restore(prev);
     f()
-}
-
-/// [`with_copy_mode`] restricted to the pooled/unpooled axis.
-pub fn with_pool<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
-    with_copy_mode(if enabled { CopyMode::Pooled } else { CopyMode::Unpooled }, f)
 }
 
 /// This thread's pool statistics since the last [`reset_pool_stats`].
@@ -370,9 +333,6 @@ impl Clone for MsgBuf {
     fn clone(&self) -> Self {
         match &self.0 {
             Repr::Inline { len, data } => MsgBuf(Repr::Inline { len: *len, data: *data }),
-            Repr::Spilled(s) if copy_mode() == CopyMode::Eager => {
-                MsgBuf(Repr::Spilled(spill_from_slice(s.data())))
-            }
             Repr::Spilled(s) => MsgBuf(Repr::Spilled(s.clone())),
         }
     }
@@ -534,38 +494,6 @@ mod tests {
                 assert!(!pool_enabled());
             });
             assert!(pool_enabled());
-        });
-    }
-
-    #[test]
-    fn eager_mode_deep_copies_spilled_clones() {
-        with_copy_mode(CopyMode::Eager, || {
-            let a = MsgBuf::from_slice(&big(100));
-            let b = a.clone();
-            assert_eq!(a, b, "eager clones are byte-identical");
-            assert_ne!(a.heap_ptr(), b.heap_ptr(), "eager clones must not share the spill");
-        });
-    }
-
-    #[test]
-    fn eager_mode_bypasses_the_pool() {
-        with_copy_mode(CopyMode::Eager, || {
-            reset_pool_stats();
-            let a = MsgBuf::from_slice(&big(512));
-            drop(a);
-            let stats = pool_stats();
-            assert_eq!(stats.hits, 0);
-            assert_eq!(stats.recycled, 0);
-        });
-    }
-
-    #[test]
-    fn copy_mode_nests_and_restores() {
-        with_copy_mode(CopyMode::Pooled, || {
-            with_copy_mode(CopyMode::Eager, || {
-                assert_eq!(copy_mode(), CopyMode::Eager);
-            });
-            assert_eq!(copy_mode(), CopyMode::Pooled);
         });
     }
 

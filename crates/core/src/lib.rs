@@ -81,6 +81,6 @@ pub mod prelude {
     pub use crate::strategy::{
         BoxedServer, BoxedUser, Halt, ServerStrategy, StepCtx, UserStrategy, WorldStrategy,
     };
-    pub use crate::universal::{CompactUniversalUser, LevinUniversalUser, ResumePolicy};
+    pub use crate::universal::{CompactUniversalUser, LevinUniversalUser};
     pub use crate::view::{UserView, ViewEvent};
 }

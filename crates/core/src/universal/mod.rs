@@ -24,7 +24,7 @@ mod compact;
 mod finite;
 mod schedule;
 
-pub use compact::{CompactUniversalUser, ResumePolicy};
+pub use compact::CompactUniversalUser;
 pub use finite::LevinUniversalUser;
 pub use schedule::{BudgetSchedule, LevinSchedule, RoundRobinDoubling, Schedule};
 

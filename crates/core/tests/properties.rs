@@ -227,28 +227,25 @@ fn compact_universal_index_in_range() {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy round loop: resume/replay, copy modes, fork checkpoints
+// Zero-copy round loop: copy modes, fork checkpoints
 // ---------------------------------------------------------------------------
 
 /// Drives the toy compact system — magic-word goal, caesar class, shift
 /// relay, the given fault schedule on both directions of the user↔server
-/// link — under a revisit `policy` and a buffer [`CopyMode`], and returns
-/// everything the outside can observe: the full user view and the compact
-/// verdict.
+/// link — with the message pool on or off, and returns everything the
+/// outside can observe: the full user view and the compact verdict.
 fn compact_conquest(
-    policy: ResumePolicy,
-    mode: goc_core::buf::CopyMode,
+    pooled: bool,
     shift: u8,
     timeout: u64,
     faults: &FaultSchedule,
     horizon: u64,
 ) -> (Vec<ViewEvent>, bool, Option<u64>) {
-    goc_core::buf::with_copy_mode(mode, || {
+    goc_core::buf::with_pool(pooled, || {
         let goal = toy::CompactMagicWordGoal::new("hi", 16);
-        let user = CompactUniversalUser::with_policy(
+        let user = CompactUniversalUser::new(
             Box::new(toy::caesar_class("hi", 8, true)),
             Box::new(Deadline::new(toy::ack_sensing(), timeout)),
-            policy,
         );
         let mut rng = GocRng::seed_from_u64(77);
         let mut exec = Execution::with_channels(
@@ -269,68 +266,19 @@ fn compact_conquest(
     })
 }
 
-/// Resume-from-suspension is observationally equivalent to
-/// replay-from-scratch for every (server shift × sensing patience × fault
-/// schedule): candidates are suspended at whatever rounds the faults and the
-/// deadline conspire to produce, and the two policies must still yield
-/// byte-identical user views and identical verdicts. The pooled/unpooled
-/// axis is folded into the same comparison, so a pool bug that leaked into
-/// observable behaviour would also trip this property.
-#[test]
-fn resume_matches_replay_under_faults() {
-    check(
-        "resume_matches_replay_under_faults",
-        gens::tuple3(
-            gens::u8_in(0, 7),
-            gens::u64_in(2, 12),
-            gens::fault_schedule(200, 4, 64),
-        ),
-        |(shift, timeout, faults)| {
-            let replay = compact_conquest(
-                ResumePolicy::Replay,
-                goc_core::buf::CopyMode::Unpooled,
-                *shift,
-                *timeout,
-                faults,
-                1_200,
-            );
-            let resume = compact_conquest(
-                ResumePolicy::Resume,
-                goc_core::buf::CopyMode::Pooled,
-                *shift,
-                *timeout,
-                faults,
-                1_200,
-            );
-            prop_assert_eq!(&replay.0, &resume.0, "user views must be byte-identical");
-            prop_assert_eq!(replay.1, resume.1, "achievement must agree");
-            prop_assert_eq!(replay.2, resume.2, "settle rounds must agree");
-            Ok(())
-        },
-    );
-}
-
-/// All three [`CopyMode`]s — pooled COW, unpooled COW and the eager
-/// value-semantics reproduction of the pre-zero-copy engine — are
-/// observationally inert: same views, same verdicts.
+/// Pooled and unpooled message buffers are observationally inert: same
+/// views, same verdicts.
 #[test]
 fn copy_modes_are_observationally_inert() {
-    use goc_core::buf::CopyMode;
     check(
         "copy_modes_are_observationally_inert",
         gens::tuple2(gens::u8_in(0, 7), gens::bursty_schedule(150, 3, 20)),
         |(shift, faults)| {
-            let pooled = compact_conquest(
-                ResumePolicy::Resume, CopyMode::Pooled, *shift, 8, faults, 800,
-            );
-            for mode in [CopyMode::Unpooled, CopyMode::Eager] {
-                let other = compact_conquest(
-                    ResumePolicy::Resume, mode, *shift, 8, faults, 800,
-                );
-                prop_assert_eq!(&pooled.0, &other.0, "views differ under {:?}", mode);
-                prop_assert_eq!(pooled.1, other.1);
-                prop_assert_eq!(pooled.2, other.2);
-            }
+            let pooled = compact_conquest(true, *shift, 8, faults, 800);
+            let unpooled = compact_conquest(false, *shift, 8, faults, 800);
+            prop_assert_eq!(&pooled.0, &unpooled.0, "views differ without the pool");
+            prop_assert_eq!(pooled.1, unpooled.1);
+            prop_assert_eq!(pooled.2, unpooled.2);
             Ok(())
         },
     );
@@ -390,28 +338,25 @@ fn fork_checkpoint_is_transparent() {
     );
 }
 
-/// Whole [`SuccessReport`]s are bit-identical across revisit policies *and*
-/// across `GOC_THREADS` — the report a CI run diffs under
-/// `GOC_RESUME=replay` vs `=resume` cannot depend on either knob.
+/// Whole [`SuccessReport`]s are bit-identical across `GOC_THREADS`.
 #[test]
-fn success_reports_survive_policy_and_thread_count() {
+fn success_reports_survive_thread_count() {
     use goc_core::harness::compact_success;
     use goc_core::par::with_thread_count;
     check(
-        "success_reports_survive_policy_and_thread_count",
+        "success_reports_survive_thread_count",
         gens::tuple2(gens::u64_in(4, 10), gens::u64_in(0, 1 << 20)),
         |&(timeout, seed)| {
             let goal = toy::CompactMagicWordGoal::new("hi", 16);
-            let report = |policy: ResumePolicy, threads: usize| {
+            let report = |threads: usize| {
                 with_thread_count(threads, || {
                     compact_success(
                         &goal,
                         &|| Box::new(toy::RelayServer::with_shift(3)),
                         &|| {
-                            Box::new(CompactUniversalUser::with_policy(
+                            Box::new(CompactUniversalUser::new(
                                 Box::new(toy::caesar_class("hi", 8, true)),
                                 Box::new(Deadline::new(toy::ack_sensing(), timeout)),
-                                policy,
                             ))
                         },
                         4,
@@ -421,20 +366,7 @@ fn success_reports_survive_policy_and_thread_count() {
                     )
                 })
             };
-            let baseline = report(ResumePolicy::Replay, 1);
-            for (policy, threads) in [
-                (ResumePolicy::Replay, 4),
-                (ResumePolicy::Resume, 1),
-                (ResumePolicy::Resume, 4),
-            ] {
-                prop_assert_eq!(
-                    &baseline,
-                    &report(policy, threads),
-                    "report drifted under {:?} at {} threads",
-                    policy,
-                    threads
-                );
-            }
+            prop_assert_eq!(report(1), report(4), "report drifted at 4 threads");
             Ok(())
         },
     );

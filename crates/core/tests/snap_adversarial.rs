@@ -13,7 +13,6 @@
 
 use goc_core::sensing::Deadline;
 use goc_core::toy;
-use goc_core::universal::ResumePolicy;
 use goc_core::prelude::*;
 use goc_testkit::{check, gens, prop_assert};
 
@@ -31,13 +30,12 @@ const DRIVE_ROUNDS: usize = 200;
 enum Corpus {
     /// Round-robin Levin over the Caesar class.
     Finite,
-    /// The compact user under the slot-table `Resume` policy.
+    /// The compact user against a fixed shift.
     Compact,
     /// The served `magic` scenario: round-robin Levin, with the server's
     /// shift drawn from the seed first.
     Magic,
-    /// The served `magic-compact` scenario, pinned to its default
-    /// `Restart` policy.
+    /// The served `magic-compact` scenario.
     MagicCompact,
 }
 
@@ -61,10 +59,9 @@ fn build(corpus: Corpus, seed: u64) -> Execution<toy::MagicWorld> {
         Corpus::Compact => {
             let goal = toy::CompactMagicWordGoal::new(WORD, 16);
             let world = goal.spawn_world(&mut rng);
-            let user = CompactUniversalUser::with_policy(
+            let user = CompactUniversalUser::new(
                 Box::new(toy::caesar_class(WORD, 16, true)),
                 Box::new(Deadline::new(toy::ack_sensing(), 16)),
-                ResumePolicy::Resume,
             );
             let server = Box::new(toy::RelayServer::with_shift(5));
             Execution::new(world, server, Box::new(user), rng)
@@ -81,10 +78,9 @@ fn build(corpus: Corpus, seed: u64) -> Execution<toy::MagicWorld> {
         }
         Corpus::MagicCompact => {
             let goal = toy::CompactMagicWordGoal::new(WORD, 16);
-            let user = CompactUniversalUser::with_policy(
+            let user = CompactUniversalUser::new(
                 Box::new(toy::caesar_class(WORD, 16, true)),
                 Box::new(Deadline::new(toy::ack_sensing(), 16)),
-                ResumePolicy::Restart,
             );
             let server = Box::new(toy::RelayServer::with_shift(rng.below(16) as u8));
             Execution::new(goal.spawn_world(&mut rng), server, Box::new(user), rng)

@@ -25,13 +25,7 @@ pub(crate) const TRAY_PREFIX: &[u8] = b"TRAY:";
 /// ([`WorldStrategy::state`]) is two refcount bumps plus scalars: reprinting
 /// the same page every round — the steady state of every compact printing
 /// experiment — touches no heap at all.
-///
-/// Under [`CopyMode::Eager`](goc_core::buf::CopyMode) the snapshot instead
-/// deep-copies the page and the archive, restoring the value semantics of
-/// the pre-zero-copy engine (whose state held owned `Vec`/`BTreeMap` fields
-/// and was cloned wholesale into the transcript every round). The E13 bench
-/// uses this to price the engine against its predecessor.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PrinterState {
     /// The most recent page and the round it was last printed at.
     last: Option<(Arc<Vec<u8>>, u64)>,
@@ -41,25 +35,6 @@ pub struct PrinterState {
     pub total_pages: u64,
     /// Rounds elapsed.
     pub round: u64,
-}
-
-impl Clone for PrinterState {
-    fn clone(&self) -> Self {
-        let eager = goc_core::buf::copy_mode() == goc_core::buf::CopyMode::Eager;
-        PrinterState {
-            last: match (&self.last, eager) {
-                (Some((page, round)), true) => Some((Arc::new(page.as_ref().clone()), *round)),
-                (last, _) => last.clone(),
-            },
-            archive: if eager {
-                Arc::new(self.archive.as_ref().clone())
-            } else {
-                Arc::clone(&self.archive)
-            },
-            total_pages: self.total_pages,
-            round: self.round,
-        }
-    }
 }
 
 impl PrinterState {

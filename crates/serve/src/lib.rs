@@ -4,9 +4,9 @@
 //! until the goal is achieved; this crate makes the channel a real socket
 //! and the conversation a long-lived **session** hosted by a daemon. Each
 //! live session is a suspended [`goc_core::exec::Execution`] — the
-//! serializable-checkpoint machinery (`Execution::save`/`restore`,
-//! `ResumePolicy::Resume`) means a session can be driven in time slices,
-//! snapshotted over the wire, and migrated across daemons.
+//! serializable-checkpoint machinery (`Execution::save`/`restore`) means a
+//! session can be driven in time slices, snapshotted over the wire, and
+//! migrated across daemons.
 //!
 //! Modules:
 //!

@@ -355,6 +355,18 @@ impl Bench {
         self
     }
 
+    /// Raises the sample count to at least `n` in every profile, quick
+    /// included (`GOC_BENCH_SAMPLES` still wins if set). For groups whose
+    /// fastest sample feeds a CI gate: the fastest of three samples of a
+    /// millisecond-scale closure on a shared host moves by tens of percent
+    /// from run to run.
+    pub fn min_samples(mut self, n: u64) -> Self {
+        if std::env::var("GOC_BENCH_SAMPLES").is_err() {
+            self.samples = self.samples.max(n);
+        }
+        self
+    }
+
     /// Times `f`, recording per-iteration statistics under `id`.
     pub fn bench<R>(&mut self, id: impl Into<String>, f: impl FnMut() -> R) {
         self.run(id.into(), BenchMeta::default(), f);

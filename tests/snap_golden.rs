@@ -1,8 +1,8 @@
 //! Golden-vector pin for the `goc_core::snap` wire format.
 //!
-//! Four canonical snapshots — round-robin and classic Levin for the finite
-//! flavour, `Resume` and `Restart` for the compact one — are checked
-//! **byte-exactly** against files under `tests/golden/`. Any change to the
+//! Three canonical snapshots — round-robin and classic Levin for the finite
+//! flavour, and the compact one — are checked **byte-exactly** against files
+//! under `tests/golden/`. Any change to the
 //! encoded layout fails this test until `SNAP_VERSION` is bumped and the
 //! vectors are re-blessed, making format drift a decision instead of an
 //! accident:
@@ -15,6 +15,11 @@
 //! The semantic half of the test decodes the committed files and replays
 //! them to completion, so a vector that still byte-matches but no longer
 //! *means* the same session is caught too.
+//!
+//! A fourth file, `compact_resume_r32.snap`, was written by a compact user
+//! under the deleted `Resume` revisit policy (tag 2, with a suspension slot
+//! table). It stays as a refusal vector: restoring it must fail with a
+//! typed error.
 
 use goc::core::sensing::Deadline;
 use goc::core::snap::{SNAP_MAGIC, SNAP_VERSION};
@@ -56,30 +61,21 @@ fn finite_with(
     Execution::new(world, Box::new(toy::RelayServer::with_shift(5)), Box::new(user), rng)
 }
 
-/// The canonical compact-flavour scenario (switch-on-negative user with the
-/// slot-table `Resume` policy — the policy with the most persisted state).
+/// The canonical compact-flavour scenario (switch-on-negative user), the
+/// configuration of the served `magic-compact` scenario.
 fn compact_skeleton() -> Execution<toy::MagicWorld> {
-    compact_with(ResumePolicy::Resume)
-}
-
-/// The compact scenario under `Restart`, the default policy and the one the
-/// served `magic-compact` scenario runs: its snapshots carry schedule
-/// windows the other policies leave empty.
-fn compact_restart_skeleton() -> Execution<toy::MagicWorld> {
-    compact_with(ResumePolicy::Restart)
-}
-
-fn compact_with(policy: ResumePolicy) -> Execution<toy::MagicWorld> {
     let mut rng = GocRng::seed_from_u64(SEED);
     let goal = toy::CompactMagicWordGoal::new(WORD, 16);
     let world = goal.spawn_world(&mut rng);
-    let user = CompactUniversalUser::with_policy(
+    let user = CompactUniversalUser::new(
         Box::new(toy::caesar_class(WORD, 16, true)),
         Box::new(Deadline::new(toy::ack_sensing(), 16)),
-        policy,
     );
     Execution::new(world, Box::new(toy::RelayServer::with_shift(5)), Box::new(user), rng)
 }
+
+/// The compact vector of the deleted `Resume` revisit policy.
+const REFUSED_VECTOR: &str = "compact_resume_r32.snap";
 
 fn canonical_snapshot(mut exec: Execution<toy::MagicWorld>) -> Vec<u8> {
     for _ in 0..CHECKPOINT {
@@ -88,12 +84,11 @@ fn canonical_snapshot(mut exec: Execution<toy::MagicWorld>) -> Vec<u8> {
     exec.save_to_vec().expect("canonical snapshot must encode")
 }
 
-fn vectors() -> [(&'static str, Vec<u8>); 4] {
+fn vectors() -> [(&'static str, Vec<u8>); 3] {
     [
         ("finite_levin_r32.snap", canonical_snapshot(finite_skeleton())),
-        ("compact_resume_r32.snap", canonical_snapshot(compact_skeleton())),
         ("finite_levin_classic_r32.snap", canonical_snapshot(finite_classic_skeleton())),
-        ("compact_restart_r32.snap", canonical_snapshot(compact_restart_skeleton())),
+        ("compact_restart_r32.snap", canonical_snapshot(compact_skeleton())),
     ]
 }
 
@@ -138,7 +133,7 @@ fn golden_vectors_are_byte_exact() {
 /// otherwise go unnoticed.
 #[test]
 fn golden_vectors_carry_the_current_header() {
-    for (name, _) in vectors() {
+    for name in vectors().map(|(name, _)| name).into_iter().chain([REFUSED_VECTOR]) {
         let golden = fs::read(golden_path(name)).expect("golden vector present");
         assert!(golden.len() > 6, "{name}: truncated vector");
         assert_eq!(&golden[..4], &SNAP_MAGIC, "{name}: bad magic");
@@ -192,15 +187,21 @@ fn golden_classic_levin_vector_restores_and_finishes() {
     finite_vector_restores_and_finishes("finite_levin_classic_r32.snap", finite_classic_skeleton);
 }
 
-/// Includes the `Resume` slot table.
-#[test]
-fn golden_compact_vector_restores_and_finishes() {
-    compact_vector_restores_and_finishes("compact_resume_r32.snap", compact_skeleton);
-}
-
 #[test]
 fn golden_compact_restart_vector_restores_and_finishes() {
-    compact_vector_restores_and_finishes("compact_restart_r32.snap", compact_restart_skeleton);
+    compact_vector_restores_and_finishes("compact_restart_r32.snap", compact_skeleton);
+}
+
+/// The `Resume` vector is refused at its policy tag, with the error a
+/// compact user built under another policy returned for it.
+#[test]
+fn golden_compact_resume_vector_is_refused() {
+    let golden = fs::read(golden_path(REFUSED_VECTOR)).expect("golden vector present");
+    let err = compact_skeleton().restore(&golden).unwrap_err();
+    assert!(
+        matches!(&err, SnapError::Mismatch { context: "resume policy", found, .. } if found == "Resume"),
+        "{err:?}"
+    );
 }
 
 /// The golden vectors double as cross-config integrity fixtures: restoring

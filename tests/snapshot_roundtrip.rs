@@ -12,9 +12,8 @@
 //! and rendered traces, and `a` and `b` must re-serialize to identical
 //! snapshot bytes at the end — the "bit-identical going forward" contract of
 //! `goc_core::snap`. Scenarios cover both goal flavours (finite magic-word
-//! and compact windowed), both universal users, every `GOC_RESUME` policy
-//! (pinned via `with_policy` so parallel test threads cannot race on the
-//! environment), a faulty scheduled channel so in-flight
+//! and compact windowed), both universal users, a faulty scheduled channel
+//! so in-flight
 //! `FaultSchedule` cursors are exercised, and a Levin search over VM
 //! programs so mounted `VmUser` machines are checkpointed mid-search.
 
@@ -29,31 +28,21 @@ const WORD: &str = "xyzzy";
 const SHIFTS: u8 = 16;
 const HORIZON: u64 = 320;
 
-/// One point in the scenario matrix: goal flavour × user × policy × channel.
+/// One point in the scenario matrix: goal flavour × user × channel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Flavour {
     /// Finite goal, Levin round-robin universal user, perfect channels.
     FiniteRelay,
     /// Finite goal over a `Scheduled` faulty down-channel (cursor state).
     FiniteFaulty,
-    /// Compact goal, switch-on-negative user, `ResumePolicy::Restart`.
-    CompactRestart,
-    /// Compact goal with `ResumePolicy::Replay` (history re-feeding state).
-    CompactReplay,
-    /// Compact goal with `ResumePolicy::Resume` (slot-table state).
-    CompactResume,
+    /// Compact goal, switch-on-negative user.
+    Compact,
     /// Finite goal, Levin round-robin over VM programs (machine state).
     FiniteVm,
 }
 
-const FLAVOURS: [Flavour; 6] = [
-    Flavour::FiniteRelay,
-    Flavour::FiniteFaulty,
-    Flavour::CompactRestart,
-    Flavour::CompactReplay,
-    Flavour::CompactResume,
-    Flavour::FiniteVm,
-];
+const FLAVOURS: [Flavour; 4] =
+    [Flavour::FiniteRelay, Flavour::FiniteFaulty, Flavour::Compact, Flavour::FiniteVm];
 
 impl Flavour {
     /// Finite-goal runs halt; compact runs go the full horizon.
@@ -92,18 +81,12 @@ fn build(flavour: Flavour, seed: u64) -> Execution<toy::MagicWorld> {
                 Execution::new(world, server, Box::new(user), rng)
             }
         }
-        Flavour::CompactRestart | Flavour::CompactReplay | Flavour::CompactResume => {
-            let policy = match flavour {
-                Flavour::CompactReplay => ResumePolicy::Replay,
-                Flavour::CompactResume => ResumePolicy::Resume,
-                _ => ResumePolicy::Restart,
-            };
+        Flavour::Compact => {
             let goal = toy::CompactMagicWordGoal::new(WORD, 16);
             let world = goal.spawn_world(&mut rng);
-            let user = CompactUniversalUser::with_policy(
+            let user = CompactUniversalUser::new(
                 Box::new(toy::caesar_class(WORD, SHIFTS, true)),
                 Box::new(Deadline::new(toy::ack_sensing(), 16)),
-                policy,
             );
             let shift = rng.below(SHIFTS as u64) as u8;
             let server = Box::new(toy::RelayServer::with_shift(shift));
