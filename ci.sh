@@ -21,7 +21,7 @@ echo "== engine knob inventory =="
 # knob is a second code path plus more CI runs, so adding one must show up
 # as a diff to this list.
 knobs=$(grep -rhoE '"GOC_[A-Z0-9_]+"' crates/{core,vm,goals,learning,serve}/src src | tr -d '"' | sort -u | xargs)
-expected_knobs="GOC_MSG_POOL GOC_THREADS GOC_TRACE"
+expected_knobs="GOC_THREADS GOC_TRACE"
 [ "$knobs" = "$expected_knobs" ] \
   || { echo "CI FAIL: engine knobs are [$knobs], expected [$expected_knobs]"; exit 1; }
 echo "$knobs"

@@ -15,11 +15,10 @@
 //! therefore performs **zero** heap allocations regardless of payload size —
 //! the property gated by the E13 bench in CI.
 //!
-//! The pool is on by default; `GOC_MSG_POOL=0` disables it process-wide (each
-//! thread reads the variable once), and [`with_pool`] scopes an override for
-//! tests that compare pooled against unpooled behaviour without racing on the
-//! environment. Representations never leak into message equality, so the
-//! setting is observationally inert.
+//! The pool is always on outside [`with_pool`]`(false, ..)`, which scopes
+//! the unpooled reference on the calling thread for the tests and benches
+//! that compare pooled against unpooled behaviour. Representations never
+//! leak into message equality, so the setting is observationally inert.
 
 use std::cell::{Cell, RefCell};
 use std::ptr::NonNull;
@@ -117,29 +116,17 @@ pub struct PoolStats {
 thread_local! {
     static POOL: RefCell<Vec<Box<SpillInner>>> = const { RefCell::new(Vec::new()) };
     static POOL_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-    static POOL_ENV: Cell<Option<bool>> = const { Cell::new(None) };
     static STATS: Cell<PoolStats> = const { Cell::new(PoolStats { hits: 0, misses: 0, recycled: 0 }) };
 }
 
 /// Whether spills on this thread are served from and returned to the pool.
 fn pool_enabled() -> bool {
-    if let Some(forced) = POOL_OVERRIDE.with(|c| c.get()) {
-        return forced;
-    }
-    POOL_ENV.with(|c| match c.get() {
-        Some(v) => v,
-        None => {
-            let v = std::env::var("GOC_MSG_POOL").as_deref() != Ok("0");
-            c.set(Some(v));
-            v
-        }
-    })
+    POOL_OVERRIDE.with(|c| c.get()).unwrap_or(true)
 }
 
 /// Runs `f` with the pool enabled or disabled on this thread, restoring the
-/// previous setting afterwards. This is the race-free way for tests and
-/// benches to compare allocation regimes (mutating `GOC_MSG_POOL` mid-process
-/// would race against other test threads).
+/// previous setting afterwards. `with_pool(false, ..)` is the unpooled
+/// reference that tests and benches compare allocation regimes against.
 pub fn with_pool<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
     let prev = POOL_OVERRIDE.with(|c| c.replace(Some(enabled)));
     struct Restore(Option<bool>);

@@ -90,7 +90,7 @@ impl<S> Transcript<S> {
             world_states: &self.world_states,
             view: &self.view,
             rounds: self.rounds,
-            stop: &self.stop,
+            stop: self.stop.clone(),
         }
     }
 }
@@ -112,22 +112,26 @@ pub struct TranscriptView<'a, S> {
     /// Number of rounds executed.
     pub rounds: u64,
     /// Why (or whether) the run stopped.
-    pub stop: &'a StopReason,
+    pub stop: StopReason,
 }
 
-// Manual impls: the view only holds references, so it is `Copy` regardless
-// of whether `S` itself is (a derive would demand `S: Copy`).
+// Manual impl: the history is only borrowed, so the view is `Clone`
+// regardless of whether `S` itself is (a derive would demand `S: Clone`).
 impl<S> Clone for TranscriptView<'_, S> {
     fn clone(&self) -> Self {
-        *self
+        TranscriptView {
+            world_states: self.world_states,
+            view: self.view,
+            rounds: self.rounds,
+            stop: self.stop.clone(),
+        }
     }
 }
-impl<S> Copy for TranscriptView<'_, S> {}
 
 impl<'a, S> TranscriptView<'a, S> {
     /// The user's halting verdict, if it halted.
-    pub fn halt(&self) -> Option<&'a Halt> {
-        match self.stop {
+    pub fn halt(&self) -> Option<&Halt> {
+        match &self.stop {
             StopReason::UserHalted(h) => Some(h),
             StopReason::HorizonExhausted => None,
         }
@@ -219,8 +223,6 @@ pub struct Execution<W: WorldStrategy> {
     // `run` and `run_for` hand back.
     world_states: Arc<Vec<W::State>>,
     view: Arc<UserView>,
-    // Owned StopReason backing the most recent `transcript_view` borrow.
-    stop_cache: StopReason,
 }
 
 impl<W: WorldStrategy> Execution<W> {
@@ -276,7 +278,6 @@ impl<W: WorldStrategy> Execution<W> {
                 states
             }),
             view: Arc::new(spare::take()),
-            stop_cache: StopReason::HorizonExhausted,
         }
     }
 
@@ -440,13 +441,12 @@ impl<W: WorldStrategy> Execution<W> {
 
     /// A borrowing view of the history so far — no cloning. The view's stop
     /// reason reflects the user's current halt status.
-    pub fn transcript_view(&mut self) -> TranscriptView<'_, W::State> {
-        self.stop_cache = self.stop_reason();
+    pub fn transcript_view(&self) -> TranscriptView<'_, W::State> {
         TranscriptView {
             world_states: &self.world_states,
             view: &self.view,
             rounds: self.round,
-            stop: &self.stop_cache,
+            stop: self.stop_reason(),
         }
     }
 
@@ -583,7 +583,7 @@ impl<W: WorldStrategy> Execution<W> {
         self.server_to_world.encode(&mut w);
         self.world_to_user.encode(&mut w);
         self.world_to_server.encode(&mut w);
-        self.stop_cache.encode(&mut w);
+        self.stop_reason().encode(&mut w);
         w.u64(self.world_states.len() as u64);
         for state in self.world_states.iter() {
             W::snap_state(state, &mut w)?;
@@ -638,7 +638,10 @@ impl<W: WorldStrategy> Execution<W> {
         self.server_to_world = Message::decode(&mut r)?;
         self.world_to_user = Message::decode(&mut r)?;
         self.world_to_server = Message::decode(&mut r)?;
-        self.stop_cache = StopReason::decode(&mut r)?;
+        // The stop reason is derived from the restored user's halt status;
+        // the field is decoded only to keep the v1 layout, and either tag is
+        // accepted because older writers could record either for one state.
+        StopReason::decode(&mut r)?;
         let n = r.count("world states")?;
         let mut world_states = Vec::new();
         for _ in 0..n {
@@ -736,7 +739,6 @@ impl<W: WorldStrategy + Clone> Execution<W> {
             world_to_server: self.world_to_server.clone(),
             world_states: Arc::clone(&self.world_states),
             view: Arc::clone(&self.view),
-            stop_cache: self.stop_cache.clone(),
         })
     }
 }
@@ -1047,6 +1049,35 @@ mod tests {
     }
 
     #[test]
+    fn save_does_not_depend_on_a_transcript_view() {
+        use crate::toy::{MagicWorld, RelayServer, SayThrough};
+
+        let build = || {
+            Execution::new(
+                MagicWorld::new("xyzzy"),
+                Box::new(RelayServer::with_shift(3)),
+                Box::new(SayThrough::compensating("xyzzy", 3)),
+                GocRng::seed_from_u64(11),
+            )
+        };
+        let halted = || {
+            let mut exec = build();
+            assert!(exec.run(50).halt().is_some(), "the compensating user halts within 50 rounds");
+            exec
+        };
+        let plain = halted();
+        let viewed = halted();
+        assert!(viewed.transcript_view().halt().is_some());
+        let bytes = plain.save_to_vec().unwrap();
+        assert_eq!(bytes, viewed.save_to_vec().unwrap());
+
+        // A fresh skeleton restored from the bytes reports the same halt.
+        let mut restored = build();
+        restored.restore(&bytes).unwrap();
+        assert_eq!(restored.into_transcript().stop, plain.into_transcript().stop);
+    }
+
+    #[test]
     fn restore_rejects_mismatched_skeleton() {
         use crate::toy::{MagicWorld, RelayServer, SayThrough};
 
@@ -1117,7 +1148,7 @@ mod tests {
         let live = exec.transcript_view();
         assert_eq!(live.world_states, &t2.world_states[..]);
         assert_eq!(live.view, &*t2.view);
-        assert_eq!((live.rounds, live.stop), (t2.rounds, &t2.stop));
+        assert_eq!((live.rounds, live.stop), (t2.rounds, t2.stop.clone()));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! sensing verdicts, channel fault decisions — are exactly the things a
 //! finished transcript cannot show. This module instruments the hot paths
 //! (the round loop, the channels, the universal users, the message pool,
-//! the worker pool) with a recorder that is:
+//! [`par_map`](crate::par::par_map)'s workers) with a recorder that is:
 //!
 //! - **Zero-overhead when disabled** (the default). Every emission site is
 //!   gated on [`enabled`], one-to-two relaxed atomic loads that predict
@@ -50,7 +50,11 @@
 //!   buffer-pool reuse, worker spawns. Per-thread pools warm separately
 //!   and concurrent workers race on pool misses, so these are
 //!   **not** thread-count-invariant; they stay out of the trace file and
-//!   are read via [`metrics_snapshot`] instead.
+//!   are read via [`metrics_snapshot`] instead. `par.pool.spawned` counts
+//!   the scoped workers spawned, one per worker per parallel `par_map`
+//!   call (the name is from the persistent pool it used to count), so it
+//!   grows with the number of calls rather than settling at the peak
+//!   thread count.
 //!
 //! Tests use [`capture`] to collect records in-memory on the calling
 //! thread without touching the environment; buffers are thread-local, so
@@ -316,8 +320,9 @@ pub enum Scope {
     /// Workload-determined: totals are equal at any `GOC_THREADS`;
     /// exported to the trace file by [`flush_metrics`].
     Deterministic,
-    /// Process-level observation (pool effectiveness): legitimately
-    /// varies with scheduling; never exported to the trace file.
+    /// Process-level observation (buffer-pool effectiveness, worker
+    /// spawns): legitimately varies with scheduling; never exported to the
+    /// trace file.
     Process,
 }
 

@@ -1,14 +1,17 @@
 //! Zero-dependency deterministic parallelism for trial- and candidate-level
 //! fan-out.
 //!
-//! The engine is a lazily-started **persistent worker pool** (see [`pool`]):
-//! callers hand [`par_map`] a pure indexed function, workers claim chunked
-//! index ranges from a shared atomic cursor (cheap work-stealing — a fast
-//! worker simply claims more chunks), and results are merged back **in index
-//! order**, so aggregation is deterministic regardless of scheduling. The
-//! pool replaces the earlier scoped `std::thread::scope` design, which paid a
-//! thread spawn+join per `par_map` call; workers now park on a condvar
-//! between calls.
+//! [`par_map`] is plain fork-join on [`std::thread::scope`]: each call
+//! spawns `threads - 1` scoped workers, the caller runs the same body, and
+//! every worker is joined before the call returns, so no thread outlives
+//! it. Participants claim chunked index ranges from a shared atomic cursor
+//! (cheap work-stealing — a fast participant simply claims more chunks),
+//! and results are merged back **in index order**, so aggregation is
+//! deterministic regardless of scheduling.
+//!
+//! Spawning per call is all the engine's fan-out over independent trials
+//! needs: a persistent pool of parked workers measured no win over it
+//! (DESIGN §12).
 //!
 //! Thread count resolution, in priority order:
 //!
@@ -20,14 +23,15 @@
 //!
 //! `GOC_THREADS=1` (or `with_thread_count(1, ..)`) is an *exact* sequential
 //! fallback: [`par_map`] degenerates to a plain in-order loop on the calling
-//! thread — no pool, no atomics — so single-threaded runs are bit-identical
-//! to the pre-parallel code path by construction.
+//! thread — no threads, no atomics — so single-threaded runs are
+//! bit-identical to the pre-parallel code path by construction.
 //!
-//! Nested calls do not oversubscribe: pool workers run every task under an
-//! implicit `with_thread_count(1, ..)`, so a `par_map` reached from inside
-//! another `par_map` executes sequentially on its worker.
+//! Nested calls do not oversubscribe: every participant runs its share under
+//! `with_thread_count(1, ..)`, so a `par_map` reached from inside another
+//! `par_map` executes sequentially on its thread.
 
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -74,194 +78,26 @@ pub fn with_thread_count<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The persistent worker pool behind [`par_map`].
-///
-/// Workers are plain detached `std::thread`s, spawned lazily the first time
-/// they are needed and parked on a condvar between jobs — a `par_map` call
-/// in the steady state costs two mutex operations and a notify instead of a
-/// `thread::scope` spawn+join cycle. One queue feeds them: lifetime-erased
-/// shards of in-flight [`par_map`] calls.
-///
-/// Every task runs under `with_thread_count(1, ..)` (nested fan-out stays
-/// sequential) and under `catch_unwind` (a panicking task can never take a
-/// pool thread down; the payload is re-raised in the caller).
-///
-/// # Safety
-///
-/// Shards borrow the caller's stack (`par_map`'s closure, cursor, and
-/// result buffer). The borrow is transmuted to `'static` to cross the
-/// queue, which is sound because [`run_scoped`] does not return — not even
-/// by unwinding — until every shard has finished: a drop guard blocks on
-/// the shard countdown even when the caller's own slice of the work panics.
-/// This is the same discipline `std::thread::scope` enforces, applied to
-/// persistent threads.
+/// Kept only for perfbench's `pool::drain()` call.
 pub mod pool {
-    use std::any::Any;
-    use std::collections::VecDeque;
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-
-    type Task = Box<dyn FnOnce() + Send>;
-
-    struct Pool {
-        queue: Mutex<VecDeque<Task>>,
-        /// Signalled whenever a task is queued; workers park here.
-        available: Condvar,
-        /// Number of persistent workers spawned so far.
-        workers: AtomicUsize,
-    }
-
-    fn pool() -> &'static Pool {
-        static POOL: OnceLock<Pool> = OnceLock::new();
-        POOL.get_or_init(|| Pool {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            workers: AtomicUsize::new(0),
-        })
-    }
-
-    /// Locks the task queue, recovering from poisoning: tasks themselves
-    /// run outside the lock (and under `catch_unwind`), so a poisoned queue
-    /// mutex carries no information about queue integrity.
-    fn lock_queue(p: &Pool) -> std::sync::MutexGuard<'_, VecDeque<Task>> {
-        p.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Grows the pool to at least `n` persistent workers.
-    fn ensure_workers(n: usize) {
-        let p = pool();
-        loop {
-            let cur = p.workers.load(Ordering::Relaxed);
-            if cur >= n {
-                return;
-            }
-            if p.workers.compare_exchange(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed).is_err()
-            {
-                continue; // lost the race; re-check the new count
-            }
-            crate::obs_count_nd!("par.pool.spawned", 1u64);
-            std::thread::Builder::new()
-                .name(format!("goc-pool-{cur}"))
-                .spawn(worker_loop)
-                .expect("spawning a pool worker thread");
-        }
-    }
-
-    fn worker_loop() {
-        let p = pool();
-        loop {
-            let task = {
-                let mut q = lock_queue(p);
-                loop {
-                    if let Some(t) = q.pop_front() {
-                        break t;
-                    }
-                    q = p.available.wait(q).unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-            // Nested par_map calls run sequentially on pool workers, and a
-            // panicking task must not take the persistent thread down — the
-            // payload is delivered through the task's own completion state.
-            let _ = catch_unwind(AssertUnwindSafe(|| super::with_thread_count(1, task)));
-        }
-    }
-
     /// Kept only for perfbench; remove in the next benchmark PR. Returns
-    /// immediately.
+    /// immediately: [`par_map`](super::par_map) leaves no threads behind.
     pub fn drain() {}
-
-    /// Shared countdown for one scoped fan-out.
-    struct ScopedJob {
-        /// The caller's body, lifetime-erased; valid until `remaining`
-        /// reaches zero, which [`run_scoped`] awaits before returning.
-        body: &'static (dyn Fn() + Sync),
-        remaining: AtomicUsize,
-        /// First panic payload raised by a pool-side copy of the body.
-        panic: Mutex<Option<Box<dyn Any + Send>>>,
-        cv: Condvar,
-    }
-
-    /// Runs `body` on `extra` pool workers *and* the calling thread,
-    /// returning only after every copy has finished. Pool-side panics are
-    /// re-raised here; a panic in the caller's own copy still waits for the
-    /// workers before unwinding (so the erased borrows can never dangle).
-    ///
-    /// The caller always participates, so progress is guaranteed even if
-    /// every pool worker is busy with earlier work.
-    pub(crate) fn run_scoped(extra: usize, body: &(dyn Fn() + Sync)) {
-        if extra == 0 {
-            body();
-            return;
-        }
-        ensure_workers(extra);
-        // SAFETY: the guard below keeps this frame alive (even through an
-        // unwinding caller) until `remaining` hits zero, i.e. until no task
-        // can touch `body` again.
-        let body_static: &'static (dyn Fn() + Sync) = unsafe { std::mem::transmute(body) };
-        let job = Arc::new(ScopedJob {
-            body: body_static,
-            remaining: AtomicUsize::new(extra),
-            panic: Mutex::new(None),
-            cv: Condvar::new(),
-        });
-        let p = pool();
-        {
-            let mut q = lock_queue(p);
-            for _ in 0..extra {
-                let job = Arc::clone(&job);
-                q.push_back(Box::new(move || {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(job.body)) {
-                        let mut g = job.panic.lock().unwrap_or_else(PoisonError::into_inner);
-                        g.get_or_insert(payload);
-                    }
-                    if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        // Pair the notify with the wait-side mutex so the
-                        // caller cannot miss the final wakeup.
-                        let _g = job.panic.lock().unwrap_or_else(PoisonError::into_inner);
-                        job.cv.notify_all();
-                    }
-                }));
-            }
-            p.available.notify_all();
-        }
-        struct WaitGuard<'a>(&'a ScopedJob);
-        impl Drop for WaitGuard<'_> {
-            fn drop(&mut self) {
-                let mut g = self.0.panic.lock().unwrap_or_else(PoisonError::into_inner);
-                while self.0.remaining.load(Ordering::Acquire) > 0 {
-                    g = self.0.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-        {
-            let _wait = WaitGuard(&job);
-            body();
-        }
-        let payload = job.panic.lock().unwrap_or_else(PoisonError::into_inner).take();
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-    }
-
-    /// Number of persistent workers currently alive (test/metrics hook).
-    pub fn worker_count() -> usize {
-        pool().workers.load(Ordering::Relaxed)
-    }
 }
 
 /// Maps `f` over `0..n`, returning results in index order.
 ///
 /// With an effective thread count of 1 (or `n <= 1`) this is exactly
 /// `(0..n).map(f).collect()` on the calling thread. Otherwise the calling
-/// thread plus `threads - 1` persistent [`pool`] workers claim chunks of the
-/// index range from an atomic cursor; each participant evaluates its indices
-/// locally and the results are sorted back into index order before
-/// returning. `f` must therefore be safe to call from any thread and — for
-/// deterministic callers — depend only on its index.
+/// thread plus `threads - 1` scoped workers (named `goc-pool-<k>`) claim
+/// chunks of the index range from an atomic cursor; each participant
+/// evaluates its indices locally and the results are sorted back into index
+/// order before returning. `f` must therefore be safe to call from any
+/// thread and — for deterministic callers — depend only on its index.
 ///
-/// A panic in `f` propagates to the caller once every participant has
-/// stopped.
+/// A panic in `f` propagates to the caller, with its original payload, once
+/// every participant has stopped. The caller's own panic wins over a
+/// worker's; among workers, the lowest-numbered one's does.
 pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -293,7 +129,7 @@ where
     type Keyed<T> = (usize, T, Vec<crate::obs::Record>);
     let results: Mutex<Vec<Keyed<T>>> = Mutex::new(Vec::with_capacity(n));
     let body = || {
-        // Every participant (pool workers and the caller itself) runs
+        // Every participant (the workers and the caller itself) runs
         // nested par_map calls sequentially.
         with_thread_count(1, || {
             let mut local: Vec<Keyed<T>> = Vec::new();
@@ -314,7 +150,29 @@ where
             results.lock().unwrap().extend(local);
         });
     };
-    pool::run_scoped(threads - 1, &body);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads - 1)
+            .map(|k| {
+                crate::obs_count_nd!("par.pool.spawned", 1u64);
+                std::thread::Builder::new()
+                    .name(format!("goc-pool-{k}"))
+                    .spawn_scoped(scope, body)
+                    .expect("spawning a par_map worker thread")
+            })
+            .collect();
+        // Joining every handle here, rather than leaving it to the scope,
+        // keeps each panic's own payload: the scope would replace a
+        // worker's with "a scoped thread panicked".
+        let mut panic = catch_unwind(AssertUnwindSafe(&body)).err();
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+    });
     let mut pairs = results.into_inner().unwrap();
     debug_assert_eq!(pairs.len(), n);
     pairs.sort_unstable_by_key(|&(i, _, _)| i);
@@ -330,6 +188,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn par_map_matches_sequential_map() {
@@ -382,31 +241,70 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pool_workers_persist_across_calls() {
-        // Two calls; the pool must not grow past what the first one needed.
-        let _ = with_thread_count(3, || par_map(64, |i| i * 2));
-        let after_first = pool::worker_count();
-        assert!(after_first >= 2, "first call should have spawned workers");
-        let _ = with_thread_count(3, || par_map(64, |i| i * 2));
-        // Other tests run concurrently and may grow the pool, so only check
-        // this call didn't need more than the process-wide maximum implies.
-        assert!(pool::worker_count() >= after_first);
+    /// Marks this side of the fork (the caller or a worker) as started and
+    /// waits until the other side has started a task too, so a test sees
+    /// both sides run.
+    fn meet(started: &[AtomicBool; 2], on_caller: bool) {
+        started[usize::from(on_caller)].store(true, Ordering::Release);
+        while !started[usize::from(!on_caller)].load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
-    fn par_map_panic_propagates_and_pool_survives() {
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    fn tasks_run_on_the_caller_or_on_named_workers() {
+        // perfbench attributes worker CPU by the `goc-pool-` name prefix.
+        let caller = std::thread::current().id();
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let names = with_thread_count(2, || {
+            par_map(64, |_| {
+                let me = std::thread::current();
+                let on_caller = me.id() == caller;
+                meet(&started, on_caller);
+                (!on_caller).then(|| me.name().map(str::to_owned))
+            })
+        });
+        let workers: Vec<_> = names.into_iter().flatten().collect();
+        assert!(!workers.is_empty(), "no task ran on a worker");
+        for name in &workers {
+            assert!(
+                name.as_deref().is_some_and(|n| n.starts_with("goc-pool-")),
+                "task ran on a worker named {name:?}"
+            );
+        }
+    }
+
+    /// Runs `par_map(64, ..)` at four threads with every task on one side
+    /// of the fork — the workers or the caller — panicking with `"shard
+    /// boom"`, and returns the payload the caller sees.
+    fn shard_panic(on_caller: bool) -> Box<dyn std::any::Any + Send> {
+        let caller = std::thread::current().id();
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
             with_thread_count(4, || {
                 par_map(64, |i| {
-                    if i == 33 {
+                    let here = std::thread::current().id() == caller;
+                    meet(&started, here);
+                    if here == on_caller {
                         panic!("shard boom");
                     }
                     i
                 })
             })
         }));
-        assert!(err.is_err(), "par_map must propagate worker panics");
+        err.expect_err("par_map must propagate the panic")
+    }
+
+    #[test]
+    fn par_map_panic_propagates_and_pool_survives() {
+        for on_caller in [false, true] {
+            let payload = shard_panic(on_caller);
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"shard boom"),
+                "the payload must survive (on_caller={on_caller})"
+            );
+        }
         let seq: Vec<usize> = (0..100).collect();
         assert_eq!(with_thread_count(4, || par_map(100, |i| i)), seq);
     }

@@ -261,7 +261,7 @@ fn compact_conquest(
             exec.step();
         }
         let t = exec.transcript_view();
-        let v = evaluate_compact_view(&goal, t);
+        let v = evaluate_compact_view(&goal, t.clone());
         (t.view.events().to_vec(), v.achieved(horizon / 8), v.last_bad_prefix)
     })
 }

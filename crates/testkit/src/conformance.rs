@@ -204,7 +204,7 @@ fn run_finite(
         }
     }
     let t = exec.transcript_view();
-    let v = evaluate_finite_view(&goal, t);
+    let v = evaluate_finite_view(&goal, t.clone());
     let false_positive_round = first_unsound_positive(
         finite_sensing(deadline),
         t.view,
@@ -237,7 +237,7 @@ fn run_compact(server: BoxedServer, schedule: &FaultSchedule, seed: u64, horizon
         exec.step();
     }
     let t = exec.transcript_view();
-    let v = evaluate_compact_view(&goal, t);
+    let v = evaluate_compact_view(&goal, t.clone());
     let false_positive_round = first_unsound_positive(
         Box::new(toy::ack_sensing()),
         t.view,
