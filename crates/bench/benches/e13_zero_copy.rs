@@ -13,10 +13,12 @@
 //! - **Steady-state allocations**: a warmed informed-user loop batched by
 //!   [`exp::E13_STEADY_BATCH`] rounds, pooled vs unpooled. With the
 //!   `count-allocs` feature the harness records allocations per iteration;
-//!   the pooled variant must record **zero** (gated by `ci.sh`).
-//!   `steady_run` drives the same pooled batch through `run_for`, whose
-//!   returned transcript shares the history; it must record zero as well,
-//!   so a transcript that copies the history fails the same gate.
+//!   the pooled variant must record **zero** (gated by `ci.sh`, which
+//!   reads these rows from a separate `count-allocs` build and takes every
+//!   timing row from a plain one). `steady_run` drives the same pooled
+//!   batch through `run_for`, whose transcript carries only the final
+//!   world state; it must record zero as well, so a `run_for` that records
+//!   or copies a history fails the same gate.
 
 use goc_bench::experiments as exp;
 use goc_core::buf::with_pool;

@@ -41,8 +41,9 @@ pub fn e1_settle(idx: usize, horizon: u64) -> (bool, u64) {
         Box::new(user),
         rng,
     );
-    let t = exec.run_for(horizon);
-    let v = evaluate_compact(&goal, &t);
+    let mut monitor = CompactMonitor::start(&goal, &exec);
+    monitor.run_for(&mut exec, horizon);
+    let v = monitor.verdict();
     (v.achieved(horizon / 10), v.last_bad_prefix.unwrap_or(0))
 }
 
@@ -209,8 +210,9 @@ pub fn e4_compact_settle(idx: usize, n: usize) -> u64 {
         Box::new(user),
         rng,
     );
-    let t = exec.run_for(120_000);
-    let v = evaluate_compact(&goal, &t);
+    let mut monitor = CompactMonitor::start(&goal, &exec);
+    monitor.run_for(&mut exec, 120_000);
+    let v = monitor.verdict();
     assert!(v.achieved(12_000), "E4 idx {idx}: {v:?}");
     v.last_bad_prefix.unwrap_or(0)
 }
@@ -285,8 +287,9 @@ pub fn e4_vm_compact_settle() -> u64 {
         Box::new(user),
         rng,
     );
-    let t = exec.run_for(20_000);
-    let v = evaluate_compact(&goal, &t);
+    let mut monitor = CompactMonitor::start(&goal, &exec);
+    monitor.run_for(&mut exec, 20_000);
+    let v = monitor.verdict();
     assert!(v.achieved(2_000), "E4/VM compact: {v:?}");
     v.last_bad_prefix.unwrap_or(0)
 }
@@ -489,8 +492,9 @@ pub fn e8_schedule_ablation() -> (u64, u64) {
             Box::new(user),
             rng,
         );
-        let t = exec.run_for(3_000);
-        evaluate_compact(&goal, &t).bad_prefixes
+        let mut monitor = CompactMonitor::start(&goal, &exec);
+        monitor.run_for(&mut exec, 3_000);
+        monitor.verdict().bad_prefixes
     };
     (run(Schedule::triangular(Some(4))), run(Schedule::linear(Some(4))))
 }
@@ -511,8 +515,9 @@ pub fn e8_patience_settle(timeout: u64) -> Option<u64> {
         Box::new(user),
         rng,
     );
-    let t = exec.run_for(20_000);
-    let v = evaluate_compact(&goal, &t);
+    let mut monitor = CompactMonitor::start(&goal, &exec);
+    monitor.run_for(&mut exec, 20_000);
+    let v = monitor.verdict();
     if v.achieved(2_000) {
         Some(v.last_bad_prefix.unwrap_or(0))
     } else {
@@ -724,18 +729,16 @@ pub fn e12_burst_outcome(burst_len: u64, horizon: u64) -> (bool, u64) {
 /// (E1's short document stays inline and would measure nothing.)
 pub const E13_DOCUMENT: &str = "zero-copy-manifesto-0123456789-abcdefghijklmnop";
 
-/// Rounds per steady-state batch. Each round retires two spilled messages
-/// into the recorded view; they return to the thread-local pool when
-/// [`Execution::reset_history`] drops the batch, so the batch must keep at
-/// most `POOL_CAP = 256` spills in flight for the next batch to be served
-/// entirely from the pool.
+/// Rounds per steady-state batch. The execution keeps no history, so each
+/// round's spilled messages return to the thread-local pool as soon as
+/// they are delivered.
 pub const E13_STEADY_BATCH: u64 = 128;
 
 /// One E13 conquest: the compact universal user settles on dialect `idx`
 /// of the E1 class. Returns the settle round (last bad prefix).
 ///
-/// Judged through the borrowing [`TranscriptView`] path — the run never
-/// clones its history.
+/// Judged by a [`CompactMonitor`] fed every round: the run keeps no
+/// history.
 pub fn e13_settle(idx: usize, horizon: u64) -> u64 {
     let dialects = e1_dialects();
     let goal = print::CompactPrintGoal::new(E13_DOCUMENT, 64);
@@ -750,11 +753,12 @@ pub fn e13_settle(idx: usize, horizon: u64) -> u64 {
         Box::new(user),
         rng,
     );
-    exec.reserve_rounds(horizon);
+    let mut monitor = CompactMonitor::start(&goal, &exec);
     for _ in 0..horizon {
         exec.step();
+        monitor.push(&exec.world_state());
     }
-    let v = evaluate_compact_view(&goal, exec.transcript_view());
+    let v = monitor.verdict();
     assert!(v.achieved(horizon / 10), "E13 idx {idx}: {v:?}");
     v.last_bad_prefix.unwrap_or(0)
 }
@@ -777,21 +781,20 @@ pub struct SteadyLoop {
 }
 
 impl SteadyLoop {
-    /// Builds the system and runs one warmup batch (fills scratch buffers,
-    /// history capacity and the message pool).
+    /// Builds the system and runs two warmup batches (fills scratch buffers
+    /// and the message pool).
     pub fn new() -> Self {
         let dialect = e1_dialects().remove(0);
         let goal = print::CompactPrintGoal::new(E13_DOCUMENT, 64);
         let user = print::PrintingUser::persistent(E13_DOCUMENT, dialect.clone())
             .with_resubmit_every(1);
         let mut rng = GocRng::seed_from_u64(1390);
-        let mut exec = Execution::new(
+        let exec = Execution::new(
             goal.spawn_world(&mut rng),
             Box::new(print::DriverServer::new(dialect)),
             Box::new(user),
             rng,
         );
-        exec.reserve_rounds(2 * E13_STEADY_BATCH);
         let mut steady = SteadyLoop { exec };
         // Two warmup batches: the first grows scratch capacities and puts
         // buffers into circulation, but leaves the pool a few spills below
@@ -803,31 +806,21 @@ impl SteadyLoop {
         steady
     }
 
-    /// Runs one batch of [`E13_STEADY_BATCH`] rounds, then resets the
-    /// recorded history (returning the batch's spilled buffers to the
-    /// pool). Returns the world's total page count, so the optimiser
-    /// cannot elide the loop.
+    /// Runs one batch of [`E13_STEADY_BATCH`] rounds. Returns the world's
+    /// total page count, so the optimiser cannot elide the loop.
     pub fn step_batch(&mut self) -> u64 {
         for _ in 0..E13_STEADY_BATCH {
             self.exec.step();
         }
-        let pages =
-            self.exec.transcript_view().world_states.last().map(|s| s.total_pages).unwrap_or(0);
-        self.exec.reset_history();
-        pages
+        self.exec.world_state().total_pages
     }
 
-    /// [`step_batch`](Self::step_batch) driven through [`Execution::run_for`]: the
-    /// returned transcript shares the recorded history, so reading its last
-    /// world state, dropping it and resetting the history stays
-    /// allocation-free. A `run_for` that copied the history would show up
-    /// as allocations per batch.
+    /// [`step_batch`](Self::step_batch) driven through [`Execution::run_for`]:
+    /// the transcript it returns carries only the final world state, so
+    /// handing it back stays allocation-free. A `run_for` that recorded or
+    /// copied a history would show up as allocations per batch.
     pub fn run_batch(&mut self) -> u64 {
-        let t = self.exec.run_for(E13_STEADY_BATCH);
-        let pages = t.world_states.last().map(|s| s.total_pages).unwrap_or(0);
-        drop(t);
-        self.exec.reset_history();
-        pages
+        self.exec.run_for(E13_STEADY_BATCH).state.total_pages
     }
 }
 

@@ -14,8 +14,17 @@
 //!   history are unacceptable. At a bounded horizon this limit statement is
 //!   approximated by [`CompactVerdict`]: success means the bad prefixes stop
 //!   occurring well before the horizon (a *stabilization window*).
+//!
+//! Referees **stream**: they are fed the world states one at a time, in
+//! history order, and keep whatever they need to remember in a memory of
+//! their own ([`FiniteGoal::Memory`], [`CompactGoal::Memory`]). A referee
+//! that remembers every state it was fed sees the whole prefix, so this is
+//! exactly as expressive as a predicate on state sequences. Every shipped
+//! referee remembers nothing: its worlds carry the tallies it reads in
+//! their state. Such a referee judges an execution from its final state
+//! alone, so the execution need not record its history.
 
-use crate::exec::{Transcript, TranscriptView};
+use crate::exec::{Execution, Transcript};
 use crate::rng::GocRng;
 use crate::strategy::{Halt, WorldStrategy};
 
@@ -65,17 +74,39 @@ pub trait Goal {
 
 /// A finite goal: the referee judges the history when the user halts.
 pub trait FiniteGoal: Goal {
-    /// Returns `true` if the finite world-state history (initial state
-    /// first) together with the user's halting verdict is acceptable.
-    fn accepts(&self, history: &[StateOf<Self>], halt: &Halt) -> bool;
+    /// What the referee remembers of the states it was fed: `()` for a
+    /// referee that judges the final state alone.
+    type Memory: Default;
+
+    /// Feeds the referee the next world state, initial state first. The
+    /// default remembers nothing.
+    fn observe(&self, memory: &mut Self::Memory, state: &StateOf<Self>) {
+        let _ = (memory, state);
+    }
+
+    /// Returns `true` if the history fed so far, ending in `last`, together
+    /// with the user's halting verdict is acceptable.
+    fn accepts(&self, memory: &Self::Memory, last: &StateOf<Self>, halt: &Halt) -> bool;
 }
 
 /// A compact goal: the referee (temporally) judges every prefix.
 pub trait CompactGoal: Goal {
-    /// Returns `true` if the given prefix of the world-state history is
+    /// What the referee remembers of the states it was fed: `()` for a
+    /// referee that judges each prefix by its last state.
+    type Memory: Default;
+
+    /// Feeds the referee the next world state (initial state first) and
+    /// returns `true` if the prefix of the history ending in it is
     /// acceptable. An infinite execution succeeds iff this returns `false`
     /// only finitely often along the history.
-    fn prefix_acceptable(&self, prefix: &[StateOf<Self>]) -> bool;
+    fn prefix_acceptable(&self, memory: &mut Self::Memory, state: &StateOf<Self>) -> bool;
+}
+
+/// Whether a referee memory of type `M` can hold anything at all. A
+/// zero-sized memory cannot, so its referee's verdict depends on the
+/// final state alone.
+const fn remembers<M>() -> bool {
+    std::mem::size_of::<M>() != 0
 }
 
 /// The outcome of judging a finite-goal transcript.
@@ -90,29 +121,91 @@ pub struct FiniteVerdict {
     pub rounds: u64,
 }
 
-/// Judges a finite-goal transcript.
+/// A streaming finite-goal referee: feed it the world states one at a time
+/// and judge the history fed so far at any point.
+#[derive(Debug)]
+pub struct FiniteMonitor<'a, G: FiniteGoal> {
+    goal: &'a G,
+    memory: G::Memory,
+}
+
+impl<'a, G: FiniteGoal> FiniteMonitor<'a, G> {
+    /// A monitor for `goal` that has been fed nothing.
+    pub fn new(goal: &'a G) -> Self {
+        FiniteMonitor { goal, memory: G::Memory::default() }
+    }
+
+    /// A monitor fed the current state of `exec`.
+    pub fn start(goal: &'a G, exec: &Execution<G::World>) -> Self {
+        let mut monitor = FiniteMonitor::new(goal);
+        if remembers::<G::Memory>() {
+            monitor.push(&exec.world_state());
+        }
+        monitor
+    }
+
+    /// Feeds the next world state (in history order).
+    pub fn push(&mut self, state: &StateOf<G>) {
+        self.goal.observe(&mut self.memory, state);
+    }
+
+    /// [`Execution::run`], feeding the monitor the state after each round.
+    /// A referee that remembers nothing is judged by the final state alone,
+    /// so it is fed nothing and the run is a plain one.
+    pub fn run(
+        &mut self,
+        exec: &mut Execution<G::World>,
+        horizon: u64,
+    ) -> Transcript<StateOf<G>> {
+        if remembers::<G::Memory>() {
+            exec.run_each(horizon, |e| self.push(&e.world_state()))
+        } else {
+            exec.run(horizon)
+        }
+    }
+
+    /// Whether the history fed so far, ending in `last`, is acceptable
+    /// with the halting verdict `halt`.
+    pub fn accepts(&self, last: &StateOf<G>, halt: &Halt) -> bool {
+        self.goal.accepts(&self.memory, last, halt)
+    }
+
+    /// The verdict on `transcript`, whose states this monitor was fed.
+    pub fn verdict(&self, transcript: &Transcript<StateOf<G>>) -> FiniteVerdict {
+        let rounds = transcript.rounds;
+        match transcript.halt() {
+            Some(halt) => {
+                FiniteVerdict { halted: true, achieved: self.accepts(&transcript.state, halt), rounds }
+            }
+            None => FiniteVerdict { halted: false, achieved: false, rounds },
+        }
+    }
+}
+
+/// Judges a finite-goal transcript: a recorded one by feeding the referee
+/// every recorded state, an unrecorded one by its final state alone.
+///
+/// # Panics
+///
+/// If the transcript is unrecorded and the referee has a memory: its
+/// verdict depends on states the transcript does not hold. Record the
+/// execution ([`Execution::recording`]) or feed a [`FiniteMonitor`] every
+/// round ([`Execution::run_each`]).
 ///
 /// # Examples
 ///
 /// See [`crate::toy`] for a complete worked goal.
 pub fn evaluate_finite<G: FiniteGoal>(goal: &G, transcript: &Transcript<StateOf<G>>) -> FiniteVerdict {
-    evaluate_finite_view(goal, transcript.as_view())
-}
-
-/// [`evaluate_finite`] over a borrowing [`TranscriptView`] — no transcript
-/// clone required.
-pub fn evaluate_finite_view<G: FiniteGoal>(
-    goal: &G,
-    transcript: TranscriptView<'_, StateOf<G>>,
-) -> FiniteVerdict {
-    match transcript.halt() {
-        Some(halt) => FiniteVerdict {
-            halted: true,
-            achieved: goal.accepts(transcript.world_states, halt),
-            rounds: transcript.rounds,
-        },
-        None => FiniteVerdict { halted: false, achieved: false, rounds: transcript.rounds },
+    let mut monitor = FiniteMonitor::new(goal);
+    match &transcript.history {
+        Some(history) => history.world_states.iter().for_each(|s| monitor.push(s)),
+        None => assert!(
+            !remembers::<G::Memory>(),
+            "evaluate_finite: the referee of `{}` remembers the history, which this transcript does not hold",
+            goal.name()
+        ),
     }
+    monitor.verdict(transcript)
 }
 
 /// The outcome of judging a compact-goal transcript at a bounded horizon.
@@ -145,60 +238,97 @@ impl CompactVerdict {
     }
 }
 
-/// Judges a compact-goal transcript by evaluating the referee on every
-/// prefix of the world-state history.
+/// Judges a recorded compact-goal transcript by feeding a
+/// [`CompactMonitor`] every recorded state.
+///
+/// # Panics
+///
+/// If the transcript is unrecorded: a compact verdict judges every prefix.
+/// Feed a [`CompactMonitor`] while the execution runs instead.
 pub fn evaluate_compact<G: CompactGoal>(
     goal: &G,
     transcript: &Transcript<StateOf<G>>,
 ) -> CompactVerdict {
-    evaluate_compact_view(goal, transcript.as_view())
+    let mut monitor = CompactMonitor::new(goal);
+    transcript.world_states().iter().for_each(|s| monitor.push(s));
+    monitor.verdict()
 }
 
-/// [`evaluate_compact`] over a borrowing [`TranscriptView`] — no transcript
-/// clone required.
-pub fn evaluate_compact_view<G: CompactGoal>(
-    goal: &G,
-    transcript: TranscriptView<'_, StateOf<G>>,
-) -> CompactVerdict {
-    let mut bad = 0u64;
-    let mut last_bad = None;
-    let n = transcript.world_states.len();
-    for len in 1..=n {
-        if !goal.prefix_acceptable(&transcript.world_states[..len]) {
-            bad += 1;
-            last_bad = Some(len as u64);
-        }
-    }
-    CompactVerdict { bad_prefixes: bad, last_bad_prefix: last_bad, total_prefixes: n as u64 }
-}
-
-/// A streaming compact-goal judge: feed world states one at a time and read
-/// the verdict at any point, in O(1) memory beyond the growing prefix.
+/// A streaming compact-goal judge: feed it the world states one at a time
+/// and read the verdict at any point. It holds the referee's memory and
+/// three counters, so with a shipped referee its size is constant in the
+/// length of the execution.
 ///
-/// Equivalent to [`evaluate_compact`] on the same state sequence (asserted
-/// by tests); preferable for very long executions where keeping the whole
-/// transcript around is wasteful.
+/// # Examples
+///
+/// ```
+/// use goc_core::exec::Execution;
+/// use goc_core::goal::{CompactMonitor, Goal};
+/// use goc_core::rng::GocRng;
+/// use goc_core::toy;
+///
+/// let goal = toy::CompactMagicWordGoal::new("hi", 16);
+/// let mut rng = GocRng::seed_from_u64(1);
+/// let mut exec = Execution::new(
+///     goal.spawn_world(&mut rng),
+///     Box::new(toy::RelayServer::default()),
+///     Box::new(toy::SayThrough::persistent("hi")),
+///     rng,
+/// );
+/// let mut monitor = CompactMonitor::start(&goal, &exec);
+/// monitor.run_for(&mut exec, 200);
+/// assert!(monitor.verdict().achieved(50));
+/// assert_eq!(monitor.verdict().total_prefixes, 201);
+/// ```
 #[derive(Debug)]
 pub struct CompactMonitor<'a, G: CompactGoal> {
     goal: &'a G,
-    prefix: Vec<StateOf<G>>,
+    memory: G::Memory,
     bad: u64,
     last_bad: Option<u64>,
+    total: u64,
 }
 
 impl<'a, G: CompactGoal> CompactMonitor<'a, G> {
-    /// A fresh monitor for `goal`.
+    /// A monitor for `goal` that has been fed nothing.
     pub fn new(goal: &'a G) -> Self {
-        CompactMonitor { goal, prefix: Vec::new(), bad: 0, last_bad: None }
+        CompactMonitor { goal, memory: G::Memory::default(), bad: 0, last_bad: None, total: 0 }
+    }
+
+    /// A monitor fed the current state of `exec`: the first prefix it
+    /// judges is the one ending now.
+    pub fn start(goal: &'a G, exec: &Execution<G::World>) -> Self {
+        let mut monitor = CompactMonitor::new(goal);
+        monitor.push(&exec.world_state());
+        monitor
     }
 
     /// Feeds the next world state (in history order).
-    pub fn push(&mut self, state: StateOf<G>) {
-        self.prefix.push(state);
-        if !self.goal.prefix_acceptable(&self.prefix) {
+    pub fn push(&mut self, state: &StateOf<G>) {
+        self.total += 1;
+        if !self.goal.prefix_acceptable(&mut self.memory, state) {
             self.bad += 1;
-            self.last_bad = Some(self.prefix.len() as u64);
+            self.last_bad = Some(self.total);
         }
+    }
+
+    /// [`Execution::run`], feeding the monitor the state after each round.
+    pub fn run(
+        &mut self,
+        exec: &mut Execution<G::World>,
+        horizon: u64,
+    ) -> Transcript<StateOf<G>> {
+        exec.run_each(horizon, |e| self.push(&e.world_state()))
+    }
+
+    /// [`Execution::run_for`], feeding the monitor the state after each
+    /// round.
+    pub fn run_for(
+        &mut self,
+        exec: &mut Execution<G::World>,
+        horizon: u64,
+    ) -> Transcript<StateOf<G>> {
+        exec.run_for_each(horizon, |e| self.push(&e.world_state()))
     }
 
     /// The verdict over everything fed so far.
@@ -206,7 +336,7 @@ impl<'a, G: CompactGoal> CompactMonitor<'a, G> {
         CompactVerdict {
             bad_prefixes: self.bad,
             last_bad_prefix: self.last_bad,
-            total_prefixes: self.prefix.len() as u64,
+            total_prefixes: self.total,
         }
     }
 }
@@ -214,7 +344,7 @@ impl<'a, G: CompactGoal> CompactMonitor<'a, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::StopReason;
+    use crate::exec::{History, StopReason};
     use crate::msg::Message;
     use crate::view::UserView;
 
@@ -248,20 +378,51 @@ mod tests {
     }
 
     impl CompactGoal for Evens {
-        fn prefix_acceptable(&self, prefix: &[u64]) -> bool {
-            prefix.last().map(|s| s % 2 == 0).unwrap_or(true)
+        type Memory = ();
+        fn prefix_acceptable(&self, _: &mut (), state: &u64) -> bool {
+            state % 2 == 0
         }
     }
 
     impl FiniteGoal for Evens {
-        fn accepts(&self, history: &[u64], halt: &Halt) -> bool {
-            history.last().map(|s| s % 2 == 0).unwrap_or(false)
-                && halt.output == Message::from("even")
+        type Memory = ();
+        fn accepts(&self, _: &(), last: &u64, halt: &Halt) -> bool {
+            last % 2 == 0 && halt.output == Message::from("even")
+        }
+    }
+
+    /// Evens, except that a history which ever held an odd state is
+    /// refused: a referee that needs its memory.
+    struct EvenSoFar;
+
+    impl Goal for EvenSoFar {
+        type World = DummyWorld;
+        fn spawn_world(&self, _rng: &mut GocRng) -> DummyWorld {
+            DummyWorld
+        }
+        fn kind(&self) -> GoalKind {
+            GoalKind::Finite
+        }
+    }
+
+    impl FiniteGoal for EvenSoFar {
+        /// Whether an odd state was fed.
+        type Memory = bool;
+        fn observe(&self, odd_seen: &mut bool, state: &u64) {
+            *odd_seen |= state % 2 == 1;
+        }
+        fn accepts(&self, odd_seen: &bool, last: &u64, halt: &Halt) -> bool {
+            !odd_seen && Evens.accepts(&(), last, halt)
         }
     }
 
     fn transcript(states: Vec<u64>, stop: StopReason) -> Transcript<u64> {
-        Transcript { world_states: states.into(), view: UserView::new().into(), rounds: 0, stop }
+        Transcript {
+            state: *states.last().unwrap(),
+            history: Some(History { world_states: states, view: UserView::new() }),
+            rounds: 0,
+            stop,
+        }
     }
 
     #[test]
@@ -317,15 +478,26 @@ mod tests {
     }
 
     #[test]
-    fn compact_monitor_matches_batch_evaluation() {
-        let states = vec![0u64, 1, 2, 3, 4, 4, 7, 8];
-        let t = transcript(states.clone(), StopReason::HorizonExhausted);
-        let batch = evaluate_compact(&Evens, &t);
-        let mut monitor = CompactMonitor::new(&Evens);
-        for s in states {
-            monitor.push(s);
-        }
-        assert_eq!(monitor.verdict(), batch);
+    fn an_unrecorded_transcript_is_judged_by_its_final_state() {
+        let halt = StopReason::UserHalted(Halt::with_output("even"));
+        let mut t = transcript(vec![1, 2], halt);
+        t.history = None;
+        assert!(evaluate_finite(&Evens, &t).achieved);
+    }
+
+    #[test]
+    fn a_referee_with_memory_reads_the_whole_history() {
+        let halt = || StopReason::UserHalted(Halt::with_output("even"));
+        assert!(evaluate_finite(&EvenSoFar, &transcript(vec![0, 2], halt())).achieved);
+        assert!(!evaluate_finite(&EvenSoFar, &transcript(vec![1, 2], halt())).achieved);
+    }
+
+    #[test]
+    #[should_panic(expected = "remembers the history")]
+    fn a_referee_with_memory_refuses_an_unrecorded_transcript() {
+        let mut t = transcript(vec![1, 2], StopReason::UserHalted(Halt::with_output("even")));
+        t.history = None;
+        evaluate_finite(&EvenSoFar, &t);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! bit-identical to the sequential loop regardless of `GOC_THREADS`.
 
 use crate::exec::Execution;
-use crate::goal::{evaluate_compact, evaluate_finite, CompactGoal, FiniteGoal};
+use crate::goal::{CompactGoal, CompactMonitor, FiniteGoal, FiniteMonitor};
 use crate::par;
 use crate::rng::GocRng;
 use crate::strategy::{BoxedServer, BoxedUser};
@@ -112,8 +112,9 @@ pub fn finite_success<G: FiniteGoal + Sync>(
         let mut rng = GocRng::seed_from_u64(seed).fork(trial as u64);
         let world = goal.spawn_world(&mut rng);
         let mut exec = Execution::new(world, server(), user(), rng);
-        let t = exec.run(horizon);
-        let v = evaluate_finite(goal, &t);
+        let mut referee = FiniteMonitor::start(goal, &exec);
+        let t = referee.run(&mut exec, horizon);
+        let v = referee.verdict(&t);
         span.set_exit(v.rounds);
         (v.achieved, v.rounds)
     });
@@ -137,8 +138,9 @@ pub fn compact_success<G: CompactGoal + Sync>(
         let mut rng = GocRng::seed_from_u64(seed).fork(trial as u64);
         let world = goal.spawn_world(&mut rng);
         let mut exec = Execution::new(world, server(), user(), rng);
-        let t = exec.run_for(horizon);
-        let v = evaluate_compact(goal, &t);
+        let mut monitor = CompactMonitor::start(goal, &exec);
+        monitor.run_for(&mut exec, horizon);
+        let v = monitor.verdict();
         let settle = v.last_bad_prefix.unwrap_or(0);
         span.set_exit(settle);
         (v.achieved(window), settle)

@@ -11,7 +11,7 @@
 //!   user and server) and then handing control to a known-good rescue pair.
 
 use crate::exec::Execution;
-use crate::goal::{evaluate_compact, evaluate_finite, CompactGoal, FiniteGoal};
+use crate::goal::{CompactGoal, CompactMonitor, FiniteGoal, FiniteMonitor};
 use crate::msg::{ServerIn, ServerOut, UserIn, UserOut};
 use crate::rng::GocRng;
 use crate::strategy::{BoxedServer, BoxedUser, ServerStrategy, StepCtx, UserStrategy};
@@ -111,8 +111,9 @@ pub fn finite_helpfulness<G: FiniteGoal>(
             let world = goal.spawn_world(&mut rng);
             let user = class.strategy(index).expect("index in range");
             let mut exec = Execution::new(world, server(), user, rng);
-            let t = exec.run(cfg.horizon);
-            if evaluate_finite(goal, &t).achieved {
+            let mut referee = FiniteMonitor::start(goal, &exec);
+            let t = referee.run(&mut exec, cfg.horizon);
+            if referee.verdict(&t).achieved {
                 successes += 1;
             }
         }
@@ -147,8 +148,9 @@ pub fn compact_helpfulness<G: CompactGoal>(
             let world = goal.spawn_world(&mut rng);
             let user = class.strategy(index).expect("index in range");
             let mut exec = Execution::new(world, server(), user, rng);
-            let t = exec.run_for(cfg.horizon);
-            if evaluate_compact(goal, &t).achieved(cfg.window) {
+            let mut monitor = CompactMonitor::start(goal, &exec);
+            monitor.run_for(&mut exec, cfg.horizon);
+            if monitor.verdict().achieved(cfg.window) {
                 successes += 1;
             }
         }
@@ -235,11 +237,12 @@ pub fn finite_forgiving<G: FiniteGoal>(
         let world = goal.spawn_world(&mut rng);
         let mut exec =
             Execution::new(world, Box::new(BabblerServer), Box::new(BabblerUser), rng);
-        exec.run(chaos_rounds);
+        let mut referee = FiniteMonitor::start(goal, &exec);
+        referee.run(&mut exec, chaos_rounds);
         exec.swap_user(rescue_user());
         exec.swap_server(rescue_server());
-        let t = exec.run(cfg.horizon);
-        if evaluate_finite(goal, &t).achieved {
+        let t = referee.run(&mut exec, cfg.horizon);
+        if referee.verdict(&t).achieved {
             rescued += 1;
         }
     }
@@ -265,11 +268,12 @@ pub fn compact_forgiving<G: CompactGoal>(
         let world = goal.spawn_world(&mut rng);
         let mut exec =
             Execution::new(world, Box::new(BabblerServer), Box::new(BabblerUser), rng);
-        exec.run(chaos_rounds);
+        let mut monitor = CompactMonitor::start(goal, &exec);
+        monitor.run(&mut exec, chaos_rounds);
         exec.swap_user(rescue_user());
         exec.swap_server(rescue_server());
-        let t = exec.run_for(cfg.horizon);
-        if evaluate_compact(goal, &t).achieved(cfg.window) {
+        monitor.run_for(&mut exec, cfg.horizon);
+        if monitor.verdict().achieved(cfg.window) {
             rescued += 1;
         }
     }

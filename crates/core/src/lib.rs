@@ -67,10 +67,10 @@ pub mod prelude {
         ChainEnumerator, FnEnumerator, LinearSchedule, SliceEnumerator, StrategyEnumerator,
         TriangularSchedule,
     };
-    pub use crate::exec::{Execution, StopReason, Transcript, TranscriptView};
+    pub use crate::exec::{Execution, History, StopReason, Transcript};
     pub use crate::goal::{
-        evaluate_compact, evaluate_compact_view, evaluate_finite, evaluate_finite_view,
-        CompactGoal, CompactVerdict, FiniteGoal, FiniteVerdict, Goal, GoalKind, StateOf,
+        evaluate_compact, evaluate_finite, CompactGoal, CompactMonitor, CompactVerdict,
+        FiniteGoal, FiniteMonitor, FiniteVerdict, Goal, GoalKind, StateOf,
     };
     pub use crate::msg::{
         Message, Role, ServerIn, ServerOut, UserIn, UserOut, WorldIn, WorldOut,

@@ -23,9 +23,14 @@ pub trait ScoredGoal: Goal {
     fn score(&self, history: &[StateOf<Self>]) -> f64;
 }
 
-/// Scores a transcript under a scored goal.
+/// Scores a recorded transcript under a scored goal.
+///
+/// # Panics
+///
+/// If the transcript is unrecorded (see
+/// [`Execution::recording`](crate::exec::Execution::recording)).
 pub fn evaluate_score<G: ScoredGoal>(goal: &G, transcript: &Transcript<StateOf<G>>) -> f64 {
-    goal.score(&transcript.world_states).clamp(0.0, 1.0)
+    goal.score(transcript.world_states()).clamp(0.0, 1.0)
 }
 
 /// Mean and worst-case score of a pairing across seeded trials.
@@ -72,7 +77,7 @@ pub fn score_pairing<G: ScoredGoal>(
     for trial in 0..trials {
         let mut rng = GocRng::seed_from_u64(seed).fork(trial as u64);
         let world = goal.spawn_world(&mut rng);
-        let mut exec = crate::exec::Execution::new(world, server(), user(), rng);
+        let mut exec = crate::exec::Execution::new(world, server(), user(), rng).recording();
         let t = exec.run_for(horizon);
         scores.push(evaluate_score(goal, &t));
     }
@@ -187,8 +192,8 @@ mod tests {
     fn evaluate_score_clamps() {
         let goal = CompactMagicWordGoal::new("hi", 16);
         let t = Transcript {
-            world_states: vec![].into(),
-            view: crate::view::UserView::new().into(),
+            state: MagicState { heard_count: 0, last_heard_round: None, round: 0 },
+            history: Some(crate::exec::History { world_states: vec![], view: Default::default() }),
             rounds: 0,
             stop: crate::exec::StopReason::HorizonExhausted,
         };

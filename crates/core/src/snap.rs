@@ -48,7 +48,6 @@
 
 use crate::msg::{Message, UserIn, UserOut};
 use crate::strategy::Halt;
-use crate::view::{UserView, ViewEvent};
 use std::fmt;
 
 /// The four magic bytes opening every snapshot.
@@ -57,7 +56,7 @@ pub const SNAP_MAGIC: [u8; 4] = *b"GOCS";
 /// The current snapshot format version. Bump on **any** change to the
 /// encoded layout — the golden-vector test in `tests/snap_golden.rs` fails
 /// until the bump makes the change intentional.
-pub const SNAP_VERSION: u16 = 1;
+pub const SNAP_VERSION: u16 = 2;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -687,38 +686,6 @@ impl SnapState for Halt {
     }
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Halt { output: Message::decode(r)? })
-    }
-}
-
-impl SnapState for ViewEvent {
-    fn encode(&self, w: &mut SnapWriter<'_>) {
-        w.u64(self.round);
-        self.received.encode(w);
-        self.sent.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ViewEvent {
-            round: r.u64("view event round")?,
-            received: UserIn::decode(r)?,
-            sent: UserOut::decode(r)?,
-        })
-    }
-}
-
-impl SnapState for UserView {
-    fn encode(&self, w: &mut SnapWriter<'_>) {
-        w.u64(self.len() as u64);
-        for event in self.events() {
-            event.encode(w);
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let n = r.count("view count")?;
-        let mut view = UserView::new();
-        for _ in 0..n {
-            view.push(ViewEvent::decode(r)?);
-        }
-        Ok(view)
     }
 }
 

@@ -182,21 +182,6 @@ pub trait WorldStrategy: Debug {
         let _ = r;
         Err(SnapError::unsupported("world", std::any::type_name::<Self>()))
     }
-
-    /// Serializes one referee-visible [`State`](Self::State) value —
-    /// `Execution` snapshots record the whole state history the referee
-    /// judges. The default refuses, naming the type.
-    fn snap_state(state: &Self::State, w: &mut SnapWriter<'_>) -> Result<(), SnapError> {
-        let _ = (state, w);
-        Err(SnapError::unsupported("world", std::any::type_name::<Self>()))
-    }
-
-    /// Decodes one [`State`](Self::State) value written by
-    /// [`snap_state`](Self::snap_state).
-    fn restore_state(r: &mut SnapReader<'_>) -> Result<Self::State, SnapError> {
-        let _ = r;
-        Err(SnapError::unsupported("world", std::any::type_name::<Self>()))
-    }
 }
 
 /// A boxed user strategy, as produced by enumerations.

@@ -95,15 +95,6 @@ impl WorldStrategy for MagicWorld {
         self.state = MagicState::decode(r)?;
         Ok(())
     }
-
-    fn snap_state(state: &MagicState, w: &mut SnapWriter<'_>) -> Result<(), SnapError> {
-        state.encode(w);
-        Ok(())
-    }
-
-    fn restore_state(r: &mut SnapReader<'_>) -> Result<MagicState, SnapError> {
-        MagicState::decode(r)
-    }
 }
 
 /// Finite goal: the world must hear the magic word at least once before the
@@ -142,8 +133,10 @@ impl Goal for MagicWordGoal {
 }
 
 impl FiniteGoal for MagicWordGoal {
-    fn accepts(&self, history: &[MagicState], _halt: &Halt) -> bool {
-        history.last().map(|s| s.heard_count > 0).unwrap_or(false)
+    type Memory = ();
+
+    fn accepts(&self, _: &(), last: &MagicState, _halt: &Halt) -> bool {
+        last.heard_count > 0
     }
 }
 
@@ -190,8 +183,9 @@ impl Goal for CompactMagicWordGoal {
 }
 
 impl CompactGoal for CompactMagicWordGoal {
-    fn prefix_acceptable(&self, prefix: &[MagicState]) -> bool {
-        let Some(last) = prefix.last() else { return true };
+    type Memory = ();
+
+    fn prefix_acceptable(&self, _: &mut (), last: &MagicState) -> bool {
         if last.round < self.window {
             return true; // start-up grace
         }
@@ -419,15 +413,6 @@ impl WorldStrategy for FragileWorld {
         self.state = FragileState::decode(r)?;
         Ok(())
     }
-
-    fn snap_state(state: &FragileState, w: &mut SnapWriter<'_>) -> Result<(), SnapError> {
-        state.encode(w);
-        Ok(())
-    }
-
-    fn restore_state(r: &mut SnapReader<'_>) -> Result<FragileState, SnapError> {
-        FragileState::decode(r)
-    }
 }
 
 /// The **unforgiving** finite magic-word goal over [`FragileWorld`].
@@ -469,8 +454,10 @@ impl Goal for FragileWordGoal {
 }
 
 impl FiniteGoal for FragileWordGoal {
-    fn accepts(&self, history: &[FragileState], _halt: &Halt) -> bool {
-        history.last().map(|s| s.heard && !s.poisoned).unwrap_or(false)
+    type Memory = ();
+
+    fn accepts(&self, _: &(), last: &FragileState, _halt: &Halt) -> bool {
+        last.heard && !last.poisoned
     }
 }
 
@@ -555,7 +542,8 @@ mod tests {
             Box::new(RelayServer::default()),
             Box::new(SayThrough::persistent("hi")),
             rng.fork(0),
-        );
+        )
+        .recording();
         let t = exec.run(200);
         let v = evaluate_compact(&goal, &t);
         assert!(v.achieved(50), "verdict: {v:?}");
@@ -566,7 +554,8 @@ mod tests {
             Box::new(RelayServer::default()),
             Box::new(SayThrough::new("hi")),
             rng.fork(1),
-        );
+        )
+        .recording();
         let t2 = exec2.run_for(200);
         let v2 = evaluate_compact(&goal, &t2);
         assert!(!v2.achieved(50), "halting user cannot sustain a compact goal: {v2:?}");
@@ -619,7 +608,7 @@ mod tests {
             rng,
         );
         let t = exec.run(10);
-        let last = t.world_states.last().unwrap();
+        let last = &t.state;
         assert!(last.heard_count >= 1);
         assert!(last.last_heard_round.is_some());
         assert_eq!(last.round, 10);

@@ -71,7 +71,7 @@ impl ChannelStats {
 /// human-readable table (non-silent channels only).
 pub fn render<S: Clone + Debug>(transcript: &Transcript<S>, limit: usize) -> String {
     let mut out = String::new();
-    let n = transcript.view.len();
+    let n = transcript.view().len();
     let _ = writeln!(out, "execution: {} rounds, stop = {}", transcript.rounds, stop_str(&transcript.stop));
     let events: Vec<usize> = if n <= 2 * limit {
         (0..n).collect()
@@ -90,7 +90,7 @@ pub fn render<S: Clone + Debug>(transcript: &Transcript<S>, limit: usize) -> Str
             }
         }
         last = Some(i);
-        let ev = &transcript.view.events()[i];
+        let ev = &transcript.view().events()[i];
         let mut parts = Vec::new();
         if !ev.received.from_server.is_silence() {
             parts.push(format!("s→u {}", ev.received.from_server));
@@ -143,14 +143,15 @@ mod tests {
             Box::new(toy::RelayServer::default()),
             Box::new(toy::SayThrough::new("hi")),
             rng,
-        );
+        )
+        .recording();
         exec.run(50)
     }
 
     #[test]
     fn stats_count_messages() {
         let t = sample_transcript();
-        let stats = ChannelStats::of(&t.view);
+        let stats = ChannelStats::of(t.view());
         assert!(stats.sent_to_server >= 1);
         assert!(stats.recv_from_world >= 1, "the ACK");
         assert!(stats.bytes_sent >= 2);
@@ -228,8 +229,8 @@ mod tests {
             view.push(ViewEvent { round, received: UserIn::default(), sent });
         }
         let t = Transcript {
-            world_states: Vec::<()>::new().into(),
-            view: view.into(),
+            state: (),
+            history: Some(crate::exec::History { world_states: Vec::new(), view }),
             rounds: 6,
             stop: StopReason::HorizonExhausted,
         };
@@ -261,8 +262,8 @@ mod tests {
             view.push(ViewEvent { round, received: UserIn::default(), sent });
         }
         let t = Transcript {
-            world_states: Vec::<()>::new().into(),
-            view: view.into(),
+            state: (),
+            history: Some(crate::exec::History { world_states: Vec::new(), view }),
             rounds: 20,
             stop: StopReason::HorizonExhausted,
         };
@@ -289,8 +290,8 @@ mod tests {
             view.push(ViewEvent { round, received: UserIn::default(), sent });
         }
         let t = Transcript {
-            world_states: Vec::<()>::new().into(),
-            view: view.into(),
+            state: (),
+            history: Some(crate::exec::History { world_states: Vec::new(), view }),
             rounds: 5,
             stop: StopReason::HorizonExhausted,
         };
@@ -307,7 +308,8 @@ mod tests {
             Box::new(toy::RelayServer::default()),
             Box::new(toy::SayThrough::persistent("hi")),
             rng,
-        );
+        )
+        .recording();
         let t = exec.run_for(100);
         let text = render(&t, 3);
         assert!(text.contains("rounds elided"), "{text}");

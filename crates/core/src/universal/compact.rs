@@ -66,8 +66,9 @@ use std::fmt;
 ///     Box::new(universal),
 ///     rng,
 /// );
-/// let t = exec.run(2000);
-/// assert!(evaluate_compact(&goal, &t).achieved(200));
+/// let mut monitor = CompactMonitor::start(&goal, &exec);
+/// monitor.run(&mut exec, 2000);
+/// assert!(monitor.verdict().achieved(200));
 /// ```
 pub struct CompactUniversalUser {
     enumerator: Box<dyn StrategyEnumerator>,
@@ -308,7 +309,8 @@ mod tests {
             Box::new(toy::RelayServer::with_shift(shift)),
             Box::new(user),
             rng,
-        );
+        )
+        .recording();
         let t = exec.run(horizon);
         evaluate_compact(&goal, &t).achieved(horizon / 8)
     }
@@ -332,7 +334,8 @@ mod tests {
             Box::new(toy::RelayServer::with_shift(3)),
             Box::new(universal(8, 8)),
             rng,
-        );
+        )
+        .recording();
         exec.run(4000);
         // Downcast via Debug: we can't retrieve the user from the execution
         // generically, so instead run the universal user manually below.
@@ -392,7 +395,8 @@ mod tests {
                 Box::new(toy::RelayServer::with_shift(1)),
                 Box::new(user),
                 rng,
-            );
+            )
+            .recording();
             let t = exec.run(3000);
             evaluate_compact(&goal, &t)
         };

@@ -21,7 +21,9 @@
 
 use crate::enumeration::StrategyEnumerator;
 use crate::exec::{Execution, Transcript};
-use crate::goal::{evaluate_compact, evaluate_finite, CompactGoal, FiniteGoal, StateOf};
+use crate::goal::{
+    evaluate_compact, evaluate_finite, CompactGoal, FiniteGoal, FiniteMonitor, StateOf,
+};
 use crate::helpful::TrialConfig;
 use crate::rng::GocRng;
 use crate::sensing::{Indication, Sensing};
@@ -69,7 +71,7 @@ pub fn replay_sensing<S: Clone + std::fmt::Debug>(
     sensing: &mut dyn Sensing,
     transcript: &Transcript<S>,
 ) -> Vec<Indication> {
-    transcript.view.iter().map(|ev| sensing.observe(ev)).collect()
+    transcript.view().iter().map(|ev| sensing.observe(ev)).collect()
 }
 
 /// Validates **finite safety**: for every sampled (strategy, server, seed)
@@ -96,16 +98,20 @@ pub fn finite_safety<G: FiniteGoal>(
                     GocRng::seed_from_u64(cfg.seed).fork((server_id as u64) << 32 | trial as u64);
                 let world = goal.spawn_world(&mut rng);
                 let user = class.strategy(index).expect("index in range");
-                let mut exec = Execution::new(world, make_server(), user, rng);
+                let mut exec = Execution::new(world, make_server(), user, rng).recording();
                 let t = exec.run(cfg.horizon);
                 let mut s = sensing();
+                let states = t.world_states();
+                let mut referee = FiniteMonitor::new(goal);
+                referee.push(&states[0]);
                 for (i, ind) in replay_sensing(&mut *s, &t).into_iter().enumerate() {
                     checks += 1;
+                    // History after round i = states[..= i + 1].
+                    let last = &states[i + 1];
+                    referee.push(last);
                     if ind.is_positive() {
-                        // History after round i = states[..= i + 1].
-                        let hist = &t.world_states[..(i + 2).min(t.world_states.len())];
                         let halt = t.halt().cloned().unwrap_or_else(Halt::empty);
-                        if !goal.accepts(hist, &halt) {
+                        if !referee.accepts(last, &halt) {
                             violations.push(Violation {
                                 strategy_index: index,
                                 trial,
@@ -144,7 +150,7 @@ pub fn finite_viability<G: FiniteGoal>(
                     GocRng::seed_from_u64(cfg.seed).fork((server_id as u64) << 32 | trial as u64);
                 let world = goal.spawn_world(&mut rng);
                 let user = class.strategy(index).expect("index in range");
-                let mut exec = Execution::new(world, make_server(), user, rng);
+                let mut exec = Execution::new(world, make_server(), user, rng).recording();
                 let t = exec.run(cfg.horizon);
                 let mut s = sensing();
                 if !replay_sensing(&mut *s, &t).iter().any(|i| i.is_positive()) {
@@ -188,7 +194,7 @@ pub fn compact_safety<G: CompactGoal>(
                     GocRng::seed_from_u64(cfg.seed).fork((server_id as u64) << 32 | trial as u64);
                 let world = goal.spawn_world(&mut rng);
                 let user = class.strategy(index).expect("index in range");
-                let mut exec = Execution::new(world, make_server(), user, rng);
+                let mut exec = Execution::new(world, make_server(), user, rng).recording();
                 let t = exec.run_for(cfg.horizon);
                 if evaluate_compact(goal, &t).achieved(cfg.window) {
                     continue; // safety constrains only failing pairings
@@ -236,7 +242,7 @@ pub fn compact_viability<G: CompactGoal>(
                     GocRng::seed_from_u64(cfg.seed).fork((server_id as u64) << 32 | trial as u64);
                 let world = goal.spawn_world(&mut rng);
                 let user = class.strategy(index).expect("index in range");
-                let mut exec = Execution::new(world, make_server(), user, rng);
+                let mut exec = Execution::new(world, make_server(), user, rng).recording();
                 let t = exec.run_for(cfg.horizon);
                 if !evaluate_compact(goal, &t).achieved(cfg.window) {
                     continue 'search;
@@ -385,11 +391,12 @@ mod tests {
             Box::new(toy::RelayServer::default()),
             Box::new(toy::SayThrough::new("hi")),
             rng,
-        );
+        )
+        .recording();
         let t = exec.run(50);
         let mut s = toy::ack_sensing();
         let inds = replay_sensing(&mut s, &t);
-        assert_eq!(inds.len(), t.view.len());
+        assert_eq!(inds.len(), t.view().len());
         assert!(inds.iter().any(|i| i.is_positive()));
     }
 

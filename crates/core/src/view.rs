@@ -77,21 +77,6 @@ impl UserView {
         let start = self.events.partition_point(|e| e.round < from);
         &self.events[start..]
     }
-
-    /// Pre-reserves capacity for `additional` further events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.events.reserve(additional);
-    }
-
-    /// Number of events the view can hold without reallocating.
-    pub(crate) fn capacity(&self) -> usize {
-        self.events.capacity()
-    }
-
-    /// Discards all recorded events, keeping the allocated capacity.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
 }
 
 impl<'a> IntoIterator for &'a UserView {

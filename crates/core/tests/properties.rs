@@ -190,11 +190,12 @@ fn run_for_executes_exact_horizon() {
                 Box::new(toy::RelayServer::default()),
                 Box::new(toy::SayThrough::new("hi")), // halts early
                 rng,
-            );
+            )
+            .recording();
             let t = exec.run_for(horizon);
             prop_assert_eq!(t.rounds, horizon);
-            prop_assert_eq!(t.world_states.len() as u64, horizon + 1);
-            prop_assert_eq!(t.view.len() as u64, horizon);
+            prop_assert_eq!(t.world_states().len() as u64, horizon + 1);
+            prop_assert_eq!(t.view().len() as u64, horizon);
             Ok(())
         },
     );
@@ -255,14 +256,14 @@ fn compact_conquest(
             rng,
             Box::new(Scheduled::new(faults.clone())),
             Box::new(Scheduled::new(faults.clone())),
-        );
-        exec.reserve_rounds(horizon);
+        )
+        .recording();
         for _ in 0..horizon {
             exec.step();
         }
-        let t = exec.transcript_view();
-        let v = evaluate_compact_view(&goal, t.clone());
-        (t.view.events().to_vec(), v.achieved(horizon / 8), v.last_bad_prefix)
+        let t = exec.into_transcript();
+        let v = evaluate_compact(&goal, &t);
+        (t.view().events().to_vec(), v.achieved(horizon / 8), v.last_bad_prefix)
     })
 }
 
@@ -313,6 +314,7 @@ fn fork_checkpoint_is_transparent() {
                     Box::new(Scheduled::new(faults.clone())),
                     Box::new(Scheduled::new(faults.clone())),
                 )
+                .recording()
             };
             // Arm 1: the uninterrupted reference run.
             let mut straight = build();
@@ -330,9 +332,9 @@ fn fork_checkpoint_is_transparent() {
                 original.step();
                 forked.step();
             }
-            let reference = straight.transcript_view().view.events().to_vec();
-            prop_assert_eq!(&reference, &original.transcript_view().view.events().to_vec());
-            prop_assert_eq!(&reference, &forked.transcript_view().view.events().to_vec());
+            let reference = straight.history();
+            prop_assert_eq!(reference, original.history());
+            prop_assert_eq!(reference, forked.history());
             Ok(())
         },
     );

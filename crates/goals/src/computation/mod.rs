@@ -64,8 +64,10 @@ impl Goal for DelegationGoal {
 }
 
 impl FiniteGoal for DelegationGoal {
-    fn accepts(&self, history: &[ComputationState], _halt: &Halt) -> bool {
-        history.last().map(|s| s.verified).unwrap_or(false)
+    type Memory = ();
+
+    fn accepts(&self, _: &(), last: &ComputationState, _halt: &Halt) -> bool {
+        last.verified
     }
 }
 

@@ -85,8 +85,9 @@ impl Goal for NavigationGoal {
 }
 
 impl CompactGoal for NavigationGoal {
-    fn prefix_acceptable(&self, prefix: &[GridState]) -> bool {
-        let Some(last) = prefix.last() else { return true };
+    type Memory = ();
+
+    fn prefix_acceptable(&self, _: &mut (), last: &GridState) -> bool {
         if last.round < self.window {
             return true; // start-up grace
         }
@@ -131,7 +132,8 @@ mod tests {
             Box::new(ActuatorServer::new(wiring)),
             user,
             rng,
-        );
+        )
+        .recording();
         let t = exec.run_for(horizon);
         evaluate_compact(&goal, &t)
     }

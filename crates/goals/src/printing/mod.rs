@@ -76,8 +76,10 @@ impl Goal for PrintGoal {
 }
 
 impl FiniteGoal for PrintGoal {
-    fn accepts(&self, history: &[PrinterState], _halt: &Halt) -> bool {
-        history.last().map(|s| s.has_printed(&self.document)).unwrap_or(false)
+    type Memory = ();
+
+    fn accepts(&self, _: &(), last: &PrinterState, _halt: &Halt) -> bool {
+        last.has_printed(&self.document)
     }
 }
 
@@ -130,8 +132,9 @@ impl Goal for CompactPrintGoal {
 }
 
 impl CompactGoal for CompactPrintGoal {
-    fn prefix_acceptable(&self, prefix: &[PrinterState]) -> bool {
-        let Some(last) = prefix.last() else { return true };
+    type Memory = ();
+
+    fn prefix_acceptable(&self, _: &mut (), last: &PrinterState) -> bool {
         if last.round < self.window {
             return true;
         }
@@ -187,7 +190,8 @@ mod tests {
             Box::new(DriverServer::new(dialect.clone())),
             Box::new(PrintingUser::persistent("badge", dialect)),
             rng,
-        );
+        )
+        .recording();
         let t = exec.run_for(600);
         let v = evaluate_compact(&goal, &t);
         assert!(v.achieved(100), "verdict: {v:?}");

@@ -87,8 +87,9 @@ impl Goal for TransmissionGoal {
 }
 
 impl CompactGoal for TransmissionGoal {
-    fn prefix_acceptable(&self, prefix: &[ChannelState]) -> bool {
-        let Some(last) = prefix.last() else { return true };
+    type Memory = ();
+
+    fn prefix_acceptable(&self, _: &mut (), last: &ChannelState) -> bool {
         last.answered || last.round.saturating_sub(last.challenge_round) <= self.grace
     }
 }
@@ -125,7 +126,8 @@ mod tests {
             Box::new(PipeServer::new(transform)),
             user,
             rng,
-        );
+        )
+        .recording();
         let t = exec.run_for(horizon);
         evaluate_compact(&goal, &t)
     }

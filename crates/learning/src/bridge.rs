@@ -96,12 +96,13 @@ pub fn run_bridge(
             Box::new(PipeServer::new(hidden.clone())),
             Box::new(OneShotSender { payload: prediction.clone(), sent: false }),
             session_rng,
-        );
+        )
+        .recording();
         let t = exec.run_for(8);
 
         // Extract the echo: what did the world actually receive?
         let mut received: Option<Vec<u8>> = None;
-        for ev in t.view.iter() {
+        for ev in t.view().iter() {
             match parse_broadcast(ev.received.from_world.as_bytes()) {
                 Some((_, Feedback::Ok)) => {
                     received = Some(challenge.clone());
@@ -115,7 +116,7 @@ pub fn run_bridge(
             }
         }
 
-        let success = t.world_states.last().map(|s| s.answered).unwrap_or(false);
+        let success = t.state.answered;
         if !success {
             mistakes += 1;
             last_mistake = Some(session);
@@ -170,7 +171,7 @@ pub fn run_bandit_bridge(
         );
         let t = exec.run_for(8);
 
-        let success = t.world_states.last().map(|s| s.answered).unwrap_or(false);
+        let success = t.state.answered;
         if !success {
             mistakes += 1;
             last_mistake = Some(session);

@@ -98,7 +98,7 @@ impl Session {
 
     /// The world's heard-count — the referee-visible outcome signal.
     pub fn heard(&self) -> u64 {
-        self.exec.world_states().last().map(|s| s.heard_count).unwrap_or(0)
+        self.exec.world_state().heard_count
     }
 
     /// Steps until round `target` (or the user halts, when

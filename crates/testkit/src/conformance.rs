@@ -30,14 +30,13 @@ use crate::gens::{
 };
 use crate::{check_result, CaseError, Config};
 use goc_core::channel::{FaultSchedule, Scheduled};
-use goc_core::exec::Execution;
-use goc_core::goal::{evaluate_compact_view, evaluate_finite_view, CompactGoal, Goal};
+use goc_core::exec::{Execution, History};
+use goc_core::goal::{evaluate_compact, evaluate_finite, CompactGoal, Goal};
 use goc_core::rng::GocRng;
 use goc_core::sensing::{BoxedSensing, Deadline, Sensing};
 use goc_core::strategy::{BoxedServer, SilentServer};
 use goc_core::toy::{self, MagicState};
 use goc_core::universal::{CompactUniversalUser, LevinUniversalUser};
-use goc_core::view::UserView;
 
 /// Budget and seeding for one conformance sweep.
 #[derive(Clone, Debug)]
@@ -133,20 +132,17 @@ struct RunOutcome {
 
 /// Replays a fresh sensing over the view, returning the first positive
 /// indication that is not grounded in an acceptable world-state prefix.
+/// The magic-word referees judge a prefix by its last state, so
+/// `acceptable` is handed the state after the indication's round.
 fn first_unsound_positive(
     mut sensing: BoxedSensing,
-    view: &UserView,
-    states: &[MagicState],
-    acceptable: impl Fn(&[MagicState]) -> bool,
+    history: &History<MagicState>,
+    acceptable: impl Fn(&MagicState) -> bool,
 ) -> Option<u64> {
-    for (i, ev) in view.events().iter().enumerate() {
-        if sensing.observe(ev).is_positive() {
-            // Event i closes round i; states[..i + 2] is the prefix through
-            // the state after that round.
-            let end = (i + 2).min(states.len());
-            if !acceptable(&states[..end]) {
-                return Some(ev.round);
-            }
+    for (i, ev) in history.view.events().iter().enumerate() {
+        // Event i closes round i; states[i + 1] is the state after it.
+        if sensing.observe(ev).is_positive() && !acceptable(&history.world_states[i + 1]) {
+            return Some(ev.round);
         }
     }
     None
@@ -193,23 +189,21 @@ fn run_finite(
         rng,
         Box::new(Scheduled::new(schedule.clone())),
         Box::new(Scheduled::new(schedule.clone())),
-    );
-    // Drive the run on the borrowing path: step until halt or horizon, then
-    // judge through [`TranscriptView`] — the sweep never clones the history.
-    exec.reserve_rounds(horizon);
+    )
+    .recording();
+    // Step until halt or horizon; the recorded view is replayed below.
     for _ in 0..horizon {
         exec.step();
-        if exec.transcript_view().halt().is_some() {
+        if exec.user().halted().is_some() {
             break;
         }
     }
-    let t = exec.transcript_view();
-    let v = evaluate_finite_view(&goal, t.clone());
+    let t = exec.into_transcript();
+    let v = evaluate_finite(&goal, &t);
     let false_positive_round = first_unsound_positive(
         finite_sensing(deadline),
-        t.view,
-        t.world_states,
-        |prefix| prefix.last().map(|s| s.heard_count > 0).unwrap_or(false),
+        t.history.as_ref().expect("recorded"),
+        |s| s.heard_count > 0,
     );
     RunOutcome { halted: v.halted, achieved: v.achieved, false_positive_round }
 }
@@ -230,19 +224,18 @@ fn run_compact(server: BoxedServer, schedule: &FaultSchedule, seed: u64, horizon
         rng,
         Box::new(Scheduled::new(schedule.clone())),
         Box::new(Scheduled::new(schedule.clone())),
-    );
+    )
+    .recording();
     // Compact goals ignore halting: run the full horizon, judge the view.
-    exec.reserve_rounds(horizon);
     for _ in 0..horizon {
         exec.step();
     }
-    let t = exec.transcript_view();
-    let v = evaluate_compact_view(&goal, t.clone());
+    let t = exec.into_transcript();
+    let v = evaluate_compact(&goal, &t);
     let false_positive_round = first_unsound_positive(
         Box::new(toy::ack_sensing()),
-        t.view,
-        t.world_states,
-        |prefix| goal.prefix_acceptable(prefix),
+        t.history.as_ref().expect("recorded"),
+        |s| goal.prefix_acceptable(&mut (), s),
     );
     RunOutcome {
         halted: false,

@@ -302,7 +302,7 @@ mod tests {
         );
         let t = exec.run(20);
         // The VM user never halts, so judge the world history directly.
-        assert!(t.world_states.last().unwrap().heard_count > 0);
+        assert!(t.state.heard_count > 0);
         // And with a halting check: a persistent user fails finite
         // evaluation (no halt) even though the world heard the word.
         assert!(!evaluate_finite(&goal, &t).achieved);

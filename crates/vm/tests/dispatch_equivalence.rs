@@ -224,7 +224,8 @@ fn compact_vm_conquest() -> u64 {
         Box::new(toy::RelayServer::default()),
         Box::new(user),
         rng,
-    );
+    )
+    .recording();
     let v = evaluate_compact(&goal, &exec.run_for(20_000));
     assert!(v.achieved(2_000), "compact VM conquest: {v:?}");
     v.last_bad_prefix.unwrap_or(0)

@@ -44,7 +44,8 @@ fn main() {
     );
     let mut rng = GocRng::seed_from_u64(11);
     let mut exec =
-        Execution::new(goal.spawn_world(&mut rng), composite(), Box::new(universal), rng);
+        Execution::new(goal.spawn_world(&mut rng), composite(), Box::new(universal), rng)
+            .recording();
     let t = exec.run(200_000);
     let v = evaluate_finite(&goal, &t);
     println!(
@@ -55,7 +56,7 @@ fn main() {
     assert!(v.achieved);
 
     // Channel statistics from the trace module.
-    let stats = goc::core::trace::ChannelStats::of(&t.view);
+    let stats = goc::core::trace::ChannelStats::of(t.view());
     println!(
         "traffic: {} msgs to servers, {} replies, {} world reports, {:.0}% user silence",
         stats.sent_to_server,

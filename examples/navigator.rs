@@ -21,8 +21,9 @@ fn run(user: BoxedUser, wiring: Wiring, seed: u64) -> goc::core::goal::CompactVe
         user,
         rng,
     );
-    let t = exec.run_for(80_000);
-    evaluate_compact(&goal, &t)
+    let mut monitor = CompactMonitor::start(&goal, &exec);
+    monitor.run_for(&mut exec, 80_000);
+    monitor.verdict()
 }
 
 fn main() {

@@ -76,8 +76,9 @@ fn main() {
             Box::new(universal),
             rng,
         );
-        let t = exec.run_for(60_000);
-        let v = evaluate_compact(&cgoal, &t);
+        let mut monitor = CompactMonitor::start(&cgoal, &exec);
+        monitor.run_for(&mut exec, 60_000);
+        let v = monitor.verdict();
         println!(
             "  driver {i:>2}: {} (bad prefixes: {:>5}, last at {:?})",
             if v.achieved(5_000) { "settled" } else { "FAILED " },

@@ -184,8 +184,9 @@ fn run_scenario(
                 Box::new(user),
                 rng,
             );
-            let t = exec.run_for(horizon);
-            let v = evaluate_compact(&goal, &t);
+            let mut monitor = CompactMonitor::start(&goal, &exec);
+            monitor.run_for(&mut exec, horizon);
+            let v = monitor.verdict();
             Some((
                 v.achieved(horizon / 10),
                 v.last_bad_prefix.unwrap_or(0),
@@ -206,8 +207,9 @@ fn run_scenario(
                 Box::new(user),
                 rng,
             );
-            let t = exec.run_for(horizon);
-            let v = evaluate_compact(&goal, &t);
+            let mut monitor = CompactMonitor::start(&goal, &exec);
+            monitor.run_for(&mut exec, horizon);
+            let v = monitor.verdict();
             Some((
                 v.achieved(horizon / 10),
                 v.last_bad_prefix.unwrap_or(0),
@@ -394,10 +396,11 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             Box::new(toy::RelayServer::with_shift(shift)),
             Box::new(user),
             rng,
-        );
+        )
+        .recording();
         let t = exec.run(500_000);
         print!("{}", goc::core::trace::render(&t, limit));
-        let stats = goc::core::trace::ChannelStats::of(&t.view);
+        let stats = goc::core::trace::ChannelStats::of(t.view());
         println!(
             "stats: {} sent / {} received messages, {} / {} bytes",
             stats.sent_to_server + stats.sent_to_world,

@@ -129,10 +129,11 @@ fn perfect_channels_are_bit_identical_to_the_prechannel_engine() {
                 user_for(user_kind, shift),
                 rng,
             )
+            .recording()
             .run(horizon);
 
-            prop_assert_eq!(&*t.world_states, &ref_states);
-            prop_assert_eq!(&*t.view, &ref_view);
+            prop_assert_eq!(t.world_states(), &ref_states);
+            prop_assert_eq!(t.view(), &ref_view);
             prop_assert_eq!(t.rounds, ref_rounds);
             prop_assert_eq!(t.halt().cloned(), ref_halt);
 
@@ -146,9 +147,10 @@ fn perfect_channels_are_bit_identical_to_the_prechannel_engine() {
                 Box::new(Perfect),
                 Box::new(Perfect),
             )
+            .recording()
             .run(horizon);
-            prop_assert_eq!(&*t2.view, &ref_view);
-            prop_assert_eq!(&*t2.world_states, &ref_states);
+            prop_assert_eq!(t2.view(), &ref_view);
+            prop_assert_eq!(t2.world_states(), &ref_states);
             Ok(())
         },
     );
@@ -171,6 +173,7 @@ fn empty_schedule_and_zero_noise_channels_are_transparent() {
                     up,
                     down,
                 )
+                .recording()
                 .run(300)
             };
             let perfect = build(Box::new(Perfect), Box::new(Perfect));
@@ -178,8 +181,8 @@ fn empty_schedule_and_zero_noise_channels_are_transparent() {
                 Box::new(Scheduled::new(FaultSchedule::empty())),
                 Box::new(Scheduled::new(FaultSchedule::empty())),
             );
-            prop_assert_eq!(&perfect.view, &scheduled.view);
-            prop_assert_eq!(&perfect.world_states, &scheduled.world_states);
+            prop_assert_eq!(perfect.view(), scheduled.view());
+            prop_assert_eq!(perfect.world_states(), scheduled.world_states());
             // Latency(0), Noisy(0, 0) and an empty chain are transparent
             // too; Noisy consumes rng from the channel's own fork only, so
             // party streams stay aligned.
@@ -187,8 +190,8 @@ fn empty_schedule_and_zero_noise_channels_are_transparent() {
                 Box::new(Chained::new(vec![Box::new(Latency::new(0)), Box::new(Noisy::new(0.0, 0.0))])),
                 Box::new(Chained::new(Vec::new())),
             );
-            prop_assert_eq!(&perfect.view, &neutral.view);
-            prop_assert_eq!(&perfect.world_states, &neutral.world_states);
+            prop_assert_eq!(perfect.view(), neutral.view());
+            prop_assert_eq!(perfect.world_states(), neutral.world_states());
             Ok(())
         },
     );
@@ -218,12 +221,13 @@ fn scheduled_fault_executions_are_seed_deterministic() {
                         Box::new(Noisy::new(0.2, 0.2)),
                     ])),
                 )
+                .recording()
                 .run(500)
             };
             let a = run();
             let b = run();
-            prop_assert_eq!(&a.view, &b.view);
-            prop_assert_eq!(&a.world_states, &b.world_states);
+            prop_assert_eq!(a.view(), b.view());
+            prop_assert_eq!(a.world_states(), b.world_states());
             prop_assert_eq!(a.rounds, b.rounds);
             Ok(())
         },
@@ -253,12 +257,13 @@ fn faults_scheduled_beyond_the_horizon_are_unobservable() {
                     up,
                     Box::new(Perfect),
                 )
+                .recording()
                 .run(horizon)
             };
             let perfect = build(Box::new(Perfect));
             let late = build(Box::new(Scheduled::new(shifted)));
-            prop_assert_eq!(&perfect.view, &late.view);
-            prop_assert_eq!(&perfect.world_states, &late.world_states);
+            prop_assert_eq!(perfect.view(), late.view());
+            prop_assert_eq!(perfect.world_states(), late.world_states());
             Ok(())
         },
     );
@@ -283,6 +288,7 @@ fn corrupting_the_whole_link_only_delays_conquest_never_falsifies_it() {
                 Box::new(Scheduled::new(schedule.clone())),
                 Box::new(Scheduled::new(schedule.clone())),
             )
+            .recording()
             .run(60_000 + schedule.quiet_after());
             let v = evaluate_finite(&goal, &t);
             prop_assert!(
@@ -313,7 +319,7 @@ fn single_fault_kinds_behave_as_documented_end_to_end() {
             Box::new(Perfect),
         )
         .run_for(30);
-        t.world_states.last().unwrap().heard_count
+        t.state.heard_count
     };
     let baseline = run(Box::new(Perfect));
     assert!(baseline > 0);

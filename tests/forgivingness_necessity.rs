@@ -77,7 +77,7 @@ fn universal_user_fails_on_the_unforgiving_goal() {
     // Safety still holds: the user never falsely halts.
     assert!(!v.halted);
     // And the world is indeed poisoned.
-    assert!(t.world_states.last().unwrap().poisoned);
+    assert!(t.state.poisoned);
 }
 
 #[test]

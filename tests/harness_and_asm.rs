@@ -32,7 +32,7 @@ fn hand_assembled_program_prints_through_a_real_driver() {
         rng,
     );
     let t = exec.run_for(20); // VM user never halts; judge the world log
-    assert!(t.world_states.last().unwrap().has_printed(b"ok"));
+    assert!(t.state.has_printed(b"ok"));
 }
 
 #[test]

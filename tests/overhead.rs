@@ -141,7 +141,8 @@ fn e4_compact_settling_grows_with_strategy_index() {
             Box::new(toy::RelayServer::default()),
             Box::new(user),
             rng,
-        );
+        )
+        .recording();
         let t = exec.run_for(60_000);
         let v = evaluate_compact(&goal, &t);
         assert!(v.achieved(6_000), "index {i}: {v:?}");

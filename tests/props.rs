@@ -24,12 +24,13 @@ fn executions_are_seed_deterministic() {
                     Box::new(toy::RelayServer::with_shift(shift)),
                     Box::new(toy::SayThrough::compensating("hi", shift)),
                     rng,
-                );
+                )
+                .recording();
                 exec.run(64)
             };
             let (a, b) = (run(), run());
             prop_assert_eq!(a.rounds, b.rounds);
-            prop_assert_eq!(a.view, b.view);
+            prop_assert_eq!(a.view(), b.view());
             prop_assert_eq!(a.stop, b.stop);
             Ok(())
         },
@@ -115,7 +116,8 @@ fn compact_achievement_is_stable_under_longer_horizons() {
                 Box::new(toy::RelayServer::default()),
                 Box::new(toy::SayThrough::persistent("hi")),
                 rng,
-            );
+            )
+            .recording();
             let t1 = exec.run_for(500);
             let v1 = evaluate_compact(&goal, &t1);
             let t2 = exec.run_for(extra);

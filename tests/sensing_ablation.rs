@@ -54,7 +54,7 @@ fn nonviable_sensing_prevents_halting_even_with_helpful_server() {
     assert!(!v.halted, "no positive indication, no halt — budget exhausted");
     // Note: the *world* did hear the word (candidate 0 is compatible); the
     // user just can't know. This is a viability failure, not unhelpfulness.
-    assert!(t.world_states.last().unwrap().heard_count > 0);
+    assert!(t.state.heard_count > 0);
 }
 
 #[test]
@@ -92,7 +92,8 @@ fn compact_user_with_unsafe_sensing_strands_on_wrong_strategy() {
         Box::new(toy::RelayServer::with_shift(5)), // needs candidate 5
         Box::new(user),
         rng,
-    );
+    )
+    .recording();
     let t = exec.run_for(5_000);
     let v = evaluate_compact(&goal, &t);
     assert!(!v.achieved(500), "stranded on candidate 0: {v:?}");
@@ -112,7 +113,8 @@ fn correct_sensing_restores_the_theorem() {
         Box::new(toy::RelayServer::with_shift(5)),
         Box::new(user),
         rng,
-    );
+    )
+    .recording();
     let t = exec.run_for(10_000);
     let v = evaluate_compact(&goal, &t);
     assert!(v.achieved(1_000), "{v:?}");

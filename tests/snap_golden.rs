@@ -16,10 +16,12 @@
 //! them to completion, so a vector that still byte-matches but no longer
 //! *means* the same session is caught too.
 //!
-//! A fourth file, `compact_resume_r32.snap`, was written by a compact user
-//! under the deleted `Resume` revisit policy (tag 2, with a suspension slot
-//! table). It stays as a refusal vector: restoring it must fail with a
-//! typed error.
+//! The files under `tests/golden/v1/` are the same three checkpoints in
+//! the version-1 layout, which also carried the stop reason, the whole
+//! world-state history and the user's view, plus a compact checkpoint
+//! written under the deleted `Resume` revisit policy. They stay as refusal
+//! vectors: restoring any of them must fail with
+//! [`SnapError::UnsupportedVersion`].
 
 use goc::core::sensing::Deadline;
 use goc::core::snap::{SNAP_MAGIC, SNAP_VERSION};
@@ -74,8 +76,8 @@ fn compact_skeleton() -> Execution<toy::MagicWorld> {
     Execution::new(world, Box::new(toy::RelayServer::with_shift(5)), Box::new(user), rng)
 }
 
-/// The compact vector of the deleted `Resume` revisit policy.
-const REFUSED_VECTOR: &str = "compact_resume_r32.snap";
+/// The compact vector of the deleted `Resume` revisit policy (version 1).
+const REFUSED_VECTOR: &str = "v1/compact_resume_r32.snap";
 
 fn canonical_snapshot(mut exec: Execution<toy::MagicWorld>) -> Vec<u8> {
     for _ in 0..CHECKPOINT {
@@ -133,7 +135,7 @@ fn golden_vectors_are_byte_exact() {
 /// otherwise go unnoticed.
 #[test]
 fn golden_vectors_carry_the_current_header() {
-    for name in vectors().map(|(name, _)| name).into_iter().chain([REFUSED_VECTOR]) {
+    for name in vectors().map(|(name, _)| name) {
         let golden = fs::read(golden_path(name)).expect("golden vector present");
         assert!(golden.len() > 6, "{name}: truncated vector");
         assert_eq!(&golden[..4], &SNAP_MAGIC, "{name}: bad magic");
@@ -150,15 +152,21 @@ fn finite_vector_restores_and_finishes(name: &str, skeleton: fn() -> Execution<t
     let mut restored = skeleton();
     restored.restore(&golden).expect("golden vector must decode");
     assert_eq!(restored.round(), CHECKPOINT);
-    assert_eq!(restored.world_states().len() as u64, CHECKPOINT + 1);
-    let t = restored.run(2_000);
+    let t = restored.recording().run(2_000);
 
-    let mut reference = skeleton();
+    let mut reference = skeleton().recording();
     let t_ref = reference.run(2_000);
     assert_eq!(t.rounds, t_ref.rounds, "{name}: settle round drifted");
     assert_eq!(t.stop, t_ref.stop, "{name}: halting verdict drifted");
-    assert_eq!(t.world_states, t_ref.world_states, "{name}: world history drifted");
-    assert_eq!(t.view, t_ref.view, "{name}: user view drifted");
+    assert_same_tail(name, &t, &t_ref);
+}
+
+/// The restored run recorded from the checkpoint on; the reference from
+/// round 0. From the checkpoint on they must agree state for state.
+fn assert_same_tail(name: &str, t: &Transcript<toy::MagicState>, t_ref: &Transcript<toy::MagicState>) {
+    let from = CHECKPOINT as usize;
+    assert_eq!(t.world_states(), &t_ref.world_states()[from..], "{name}: world history drifted");
+    assert_eq!(t.view().events(), t_ref.view().since(CHECKPOINT), "{name}: user view drifted");
 }
 
 /// The compact counterpart: the restored copy and an uninterrupted run agree
@@ -168,13 +176,12 @@ fn compact_vector_restores_and_finishes(name: &str, skeleton: fn() -> Execution<
     let mut restored = skeleton();
     restored.restore(&golden).expect("golden vector must decode");
     assert_eq!(restored.round(), CHECKPOINT);
-    let t = restored.run_for(400 - CHECKPOINT);
+    let t = restored.recording().run_for(400 - CHECKPOINT);
 
-    let mut reference = skeleton();
+    let mut reference = skeleton().recording();
     let t_ref = reference.run_for(400);
     assert_eq!(t.rounds, t_ref.rounds, "{name}: round count drifted");
-    assert_eq!(t.world_states, t_ref.world_states, "{name}: world history drifted");
-    assert_eq!(t.view, t_ref.view, "{name}: user view drifted");
+    assert_same_tail(name, &t, &t_ref);
 }
 
 #[test]
@@ -192,16 +199,27 @@ fn golden_compact_restart_vector_restores_and_finishes() {
     compact_vector_restores_and_finishes("compact_restart_r32.snap", compact_skeleton);
 }
 
-/// The `Resume` vector is refused at its policy tag, with the error a
-/// compact user built under another policy returned for it.
+fn assert_refused_as_v1(name: &str, skeleton: fn() -> Execution<toy::MagicWorld>) {
+    let golden = fs::read(golden_path(name)).expect("golden vector present");
+    let err = skeleton().restore(&golden).unwrap_err();
+    assert_eq!(err, SnapError::UnsupportedVersion { found: 1, supported: SNAP_VERSION }, "{name}");
+}
+
+/// The `Resume` vector is refused at its version, before its user block is
+/// read. (A `Resume` policy tag in a current-version user block is refused
+/// by `restore_refuses_the_deleted_policies` in `universal::compact`.)
 #[test]
 fn golden_compact_resume_vector_is_refused() {
-    let golden = fs::read(golden_path(REFUSED_VECTOR)).expect("golden vector present");
-    let err = compact_skeleton().restore(&golden).unwrap_err();
-    assert!(
-        matches!(&err, SnapError::Mismatch { context: "resume policy", found, .. } if found == "Resume"),
-        "{err:?}"
-    );
+    assert_refused_as_v1(REFUSED_VECTOR, compact_skeleton);
+}
+
+/// Version-1 snapshots carried the whole history; they are refused, not
+/// read past their header.
+#[test]
+fn v1_vectors_are_refused_by_version() {
+    assert_refused_as_v1("v1/finite_levin_r32.snap", finite_skeleton);
+    assert_refused_as_v1("v1/finite_levin_classic_r32.snap", finite_classic_skeleton);
+    assert_refused_as_v1("v1/compact_restart_r32.snap", compact_skeleton);
 }
 
 /// The golden vectors double as cross-config integrity fixtures: restoring

@@ -37,7 +37,8 @@ fn universal_user_succeeds_with_every_dialect_server() {
                 Box::new(DriverServer::new(dialect.clone())),
                 Box::new(universal(&dialects)),
                 rng,
-            );
+            )
+            .recording();
             let t = exec.run_for(30_000);
             let v = evaluate_compact(&goal, &t);
             assert!(
@@ -65,7 +66,8 @@ fn universal_user_succeeds_from_scrambled_server_states() {
             Box::new(server),
             Box::new(universal(&dialects)),
             rng,
-        );
+        )
+        .recording();
         let t = exec.run_for(30_000);
         let v = evaluate_compact(&goal, &t);
         assert!(v.achieved(3_000), "warmup {warmup}: {v:?}");

@@ -28,7 +28,8 @@ fn compact_universal_user_conquers_every_transform() {
             Box::new(tx::PipeServer::new(transform.clone())),
             Box::new(universal),
             rng,
-        );
+        )
+        .recording();
         let t = exec.run_for(40_000);
         let v = evaluate_compact(&goal, &t);
         assert!(v.achieved(4_000), "transform {i} ({transform:?}): {v:?}");
@@ -55,7 +56,8 @@ fn probing_user_beats_the_universal_user_on_tables() {
         Box::new(tx::PipeServer::new(foreign.clone())),
         Box::new(universal),
         rng,
-    );
+    )
+    .recording();
     let enum_v = evaluate_compact(&goal, &exec.run_for(20_000));
     assert!(!enum_v.achieved(2_000), "no viable member should exist: {enum_v:?}");
 
@@ -65,7 +67,8 @@ fn probing_user_beats_the_universal_user_on_tables() {
         Box::new(tx::PipeServer::new(foreign)),
         Box::new(tx::ProbingUser::new()),
         rng,
-    );
+    )
+    .recording();
     let probe_v = evaluate_compact(&goal, &exec.run_for(20_000));
     assert!(probe_v.achieved(2_000), "{probe_v:?}");
 }
@@ -100,7 +103,8 @@ fn navigation_universal_user_conquers_every_wiring() {
             Box::new(nav::ActuatorServer::new(nav::Wiring::nth(idx))),
             Box::new(universal),
             rng,
-        );
+        )
+        .recording();
         let t = exec.run_for(80_000);
         let v = evaluate_compact(&goal, &t);
         assert!(v.achieved(8_000), "wiring {idx}: {v:?}");
@@ -119,7 +123,8 @@ fn calibrating_navigator_settles_faster_than_enumeration() {
             Box::new(nav::ActuatorServer::new(wiring)),
             user,
             rng,
-        );
+        )
+        .recording();
         let t = exec.run_for(80_000);
         let v = evaluate_compact(&goal, &t);
         v.achieved(8_000).then(|| v.last_bad_prefix.unwrap_or(0))
@@ -158,7 +163,8 @@ fn transmission_with_dialect_and_delay_composition() {
         Box::new(Delayed::new(Box::new(tx::PipeServer::new(family[2].clone())), 2)),
         Box::new(universal),
         rng,
-    );
+    )
+    .recording();
     let t = exec.run_for(60_000);
     let v = evaluate_compact(&goal, &t);
     assert!(v.achieved(6_000), "{v:?}");
