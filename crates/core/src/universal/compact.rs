@@ -293,6 +293,7 @@ mod tests {
     use crate::rng::GocRng;
     use crate::sensing::Deadline;
     use crate::toy;
+    use crate::universal::V1_WINDOW;
 
     fn universal(shifts: u8, timeout: u64) -> CompactUniversalUser {
         CompactUniversalUser::new(
@@ -563,6 +564,39 @@ mod tests {
         fields(&mut SnapWriter::new(&mut out));
         out.extend(sensing);
         out
+    }
+
+    /// Encoded length of one value.
+    fn encoded_len<T: SnapState>(value: &T) -> usize {
+        let mut bytes = Vec::new();
+        value.encode(&mut SnapWriter::new(&mut bytes));
+        bytes.len()
+    }
+
+    /// The snapshot grows with the switch log and with nothing else: every
+    /// switch appends one `SwitchRecord`, restore reads only the log's
+    /// length back, and the one other field that varies, the v1 window
+    /// ahead, holds fewer than `V1_WINDOW` schedule slots.
+    #[test]
+    fn snapshot_growth_tracks_the_switch_count() {
+        let record = encoded_len(&SwitchRecord { round: 0, from_index: 0, to_index: 0 });
+        let slot = encoded_len(&vec![0usize]) - encoded_len(&Vec::<usize>::new());
+        let mut u = caesar_universal(8);
+        let mut rng = GocRng::seed_from_u64(9);
+        let mut fixed = Vec::new();
+        let mut round = 0;
+        for checkpoint in [0u64, 64, 256, 1024] {
+            while round < checkpoint {
+                let _ = u.step(&mut StepCtx::new(round, &mut rng), &UserIn::default());
+                round += 1;
+            }
+            let consumed = u.switch_count() as u64 + 1;
+            let ahead = ((V1_WINDOW - consumed % V1_WINDOW) % V1_WINDOW) as usize;
+            let len = save(&u).len();
+            fixed.push(len - record * u.switch_count() - slot * ahead);
+        }
+        assert!(u.switch_count() > 100, "switches: {}", u.switch_count());
+        assert!(fixed.iter().all(|&n| n == fixed[0]), "bytes besides the log: {fixed:?}");
     }
 
     #[test]

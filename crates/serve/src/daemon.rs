@@ -3,14 +3,25 @@
 //! ## Shard model
 //!
 //! Sessions are partitioned by `session_id % nshards`; each shard is one
-//! thread owning a `HashMap<u64, Session>` and a work queue. Per-connection
-//! reader threads do the blocking socket reads, run the chaos middleware,
-//! decode frames totally, and dispatch each request to its shard's queue;
-//! shards execute requests in arrival order and write replies through the
-//! originating connection's mutex-guarded writer. Because a session id
-//! always maps to the same shard, per-session request order is preserved
-//! even though many sessions multiplex over one connection — while distinct
-//! sessions proceed in parallel across shards.
+//! thread owning a table of residents, `HashMap<u64, Resident>`, and a work
+//! queue. Per-connection reader threads do the blocking socket reads, run
+//! the chaos middleware, decode frames totally, and dispatch each request
+//! to its shard's queue; shards execute requests in arrival order and write
+//! replies through the originating connection's mutex-guarded writer.
+//! Because a session id always maps to the same shard, per-session request
+//! order is preserved even though many sessions multiplex over one
+//! connection — while distinct sessions proceed in parallel across shards.
+//!
+//! ## Residents
+//!
+//! `Open` builds nothing. It checks the scenario name and keeps the session
+//! as its [`Unbuilt`] `(scenario, seed)`, replying with
+//! [`FRESH_STATUS`](crate::session::FRESH_STATUS). The first `Drive` or
+//! `Snap` builds the [`Session`], inside the same panic isolation as every
+//! request; from then on the table holds it boxed, so a table value is 24
+//! bytes whichever form it holds. `Restore` checks the name through the
+//! same [`Unbuilt::new`] and inserts a built session; `Close` removes
+//! either form.
 //!
 //! ## Teardown
 //!
@@ -20,7 +31,7 @@
 //! work, so once the shards are joined nothing is left running.
 
 use crate::chaos::{ChaosSpec, FrameChaos};
-use crate::session::Session;
+use crate::session::{Session, Unbuilt, FRESH_STATUS};
 use crate::wire::{
     self, read_frame_body, write_frame, Frame, WireError,
 };
@@ -162,6 +173,29 @@ enum ShardMsg {
     Request { conn: Arc<ConnWriter>, frame: Frame },
     Stop,
 }
+
+/// A shard's resident session: unbuilt until its first `Drive` or `Snap`,
+/// then boxed, so the table's values are not padded to a `Session`.
+enum Resident {
+    Unbuilt(Unbuilt),
+    Live(Box<Session>),
+}
+
+impl Resident {
+    /// The built session, building it on first use.
+    fn live(&mut self) -> &mut Session {
+        if let Resident::Unbuilt(fresh) = *self {
+            *self = Resident::Live(Box::new(fresh.build()));
+        }
+        match self {
+            Resident::Live(session) => session,
+            Resident::Unbuilt(_) => unreachable!("built above"),
+        }
+    }
+}
+
+/// A shard's session table.
+type Residents = HashMap<u64, Resident>;
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -357,7 +391,7 @@ pub fn start(opts: DaemonOpts) -> std::io::Result<DaemonHandle> {
         let thread = std::thread::Builder::new()
             .name(format!("goc-shard-{shard_index}"))
             .spawn(move || {
-                let mut sessions: HashMap<u64, Session> = HashMap::new();
+                let mut sessions = Residents::new();
                 while let Ok(msg) = rx.recv() {
                     match msg {
                         ShardMsg::Stop => break,
@@ -539,10 +573,10 @@ fn serve_connection(
 /// updated), the panic is counted, and the reply is an `Error`. Every other
 /// session on the shard carries on.
 fn isolate(
-    sessions: &mut HashMap<u64, Session>,
+    sessions: &mut Residents,
     session: u64,
     stats: &Stats,
-    request: impl FnOnce(&mut HashMap<u64, Session>) -> Frame,
+    request: impl FnOnce(&mut Residents) -> Frame,
 ) -> Frame {
     match catch_unwind(AssertUnwindSafe(|| request(&mut *sessions))) {
         Ok(reply) => reply,
@@ -556,7 +590,7 @@ fn isolate(
 }
 
 /// Executes one decoded request against a shard's session table.
-fn handle_request(sessions: &mut HashMap<u64, Session>, frame: Frame, stats: &Stats) -> Frame {
+fn handle_request(sessions: &mut Residents, frame: Frame, stats: &Stats) -> Frame {
     let err = |session: u64, message: String| {
         stats.errors.fetch_add(1, Ordering::Relaxed);
         Frame::Error { session, message }
@@ -567,36 +601,31 @@ fn handle_request(sessions: &mut HashMap<u64, Session>, frame: Frame, stats: &St
         {
             err(session, format!("session {session} already open"))
         }
-        Frame::Open { session, scenario, seed } => match Session::build(&scenario, seed) {
-            Some(s) => {
+        Frame::Open { session, scenario, seed } => match Unbuilt::new(&scenario, seed) {
+            Some(fresh) => {
                 stats.opened.fetch_add(1, Ordering::Relaxed);
-                let status = Frame::Status {
-                    session,
-                    round: s.round(),
-                    halted: s.halted(),
-                    heard: s.heard(),
-                };
-                sessions.insert(session, s);
-                status
+                let (round, halted, heard) = FRESH_STATUS;
+                sessions.insert(session, Resident::Unbuilt(fresh));
+                Frame::Status { session, round, halted, heard }
             }
             None => err(session, format!("unknown scenario `{scenario}`")),
         },
         Frame::Drive { session, rounds } => match sessions.get_mut(&session) {
-            Some(s) => {
-                let (round, halted, heard) = s.drive(rounds);
+            Some(resident) => {
+                let (round, halted, heard) = resident.live().drive(rounds);
                 Frame::Status { session, round, halted, heard }
             }
             None => err(session, "no such session".to_string()),
         },
-        Frame::Snap { session } => match sessions.get(&session) {
-            Some(s) => match s.save_to_vec() {
+        Frame::Snap { session } => match sessions.get_mut(&session) {
+            Some(resident) => match resident.live().save_to_vec() {
                 Ok(snap) => Frame::SnapData { session, snap },
                 Err(e) => err(session, format!("snapshot failed: {e}")),
             },
             None => err(session, "no such session".to_string()),
         },
         Frame::Restore { session, scenario, seed, snap } => {
-            match Session::build(&scenario, seed) {
+            match Unbuilt::new(&scenario, seed).map(Unbuilt::build) {
                 Some(mut s) => match s.restore(&snap) {
                     Ok(()) => {
                         stats.opened.fetch_add(1, Ordering::Relaxed);
@@ -606,7 +635,7 @@ fn handle_request(sessions: &mut HashMap<u64, Session>, frame: Frame, stats: &St
                             halted: s.halted(),
                             heard: s.heard(),
                         };
-                        sessions.insert(session, s);
+                        sessions.insert(session, Resident::Live(Box::new(s)));
                         status
                     }
                     Err(e) => err(session, format!("restore failed: {e}")),
@@ -634,6 +663,7 @@ fn handle_request(sessions: &mut HashMap<u64, Session>, frame: Frame, stats: &St
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SCENARIOS;
 
     #[test]
     fn accept_backoff_doubles_from_1ms_to_a_100ms_cap() {
@@ -648,28 +678,77 @@ mod tests {
         assert_eq!(schedule, [1, 2, 4, 8, 16, 32, 64, 100, 100, 100]);
     }
 
+    /// Sends `frame` to a shard table outside any daemon, as a shard would.
+    fn request(sessions: &mut Residents, frame: Frame, stats: &Stats) -> Frame {
+        let session = frame.session().unwrap_or(0);
+        isolate(sessions, session, stats, |sessions| handle_request(sessions, frame, stats))
+    }
+
+    fn open(session: u64, scenario: &str, seed: u64) -> Frame {
+        Frame::Open { session, scenario: scenario.to_string(), seed }
+    }
+
     #[test]
     fn a_panicking_request_evicts_only_its_session() {
         let stats = Stats::default();
-        let mut sessions: HashMap<u64, Session> = HashMap::new();
+        let mut sessions = Residents::new();
         for id in [1, 2] {
-            sessions.insert(id, Session::build("magic", id).expect("known scenario"));
+            request(&mut sessions, open(id, "magic", id), &stats);
         }
+        // The victim is built by its first drive, inside the isolation.
         let reply = isolate(&mut sessions, 1, &stats, |sessions| {
-            let _ = sessions.get_mut(&1).expect("resident").drive(8);
+            let _ = handle_request(sessions, Frame::Drive { session: 1, rounds: 8 }, &stats);
             panic!("injected fault");
         });
         assert!(matches!(reply, Frame::Error { session: 1, .. }), "{reply:?}");
         assert!(!sessions.contains_key(&1), "the panicking session is evicted");
-        assert!(sessions.contains_key(&2), "its neighbour stays resident");
+        assert!(
+            matches!(sessions.get(&2), Some(Resident::Unbuilt(_))),
+            "its never-driven neighbour stays resident, unbuilt"
+        );
         let snapshot = stats.snapshot();
         assert_eq!((snapshot.panics, snapshot.errors), (1, 1));
 
         // A request that does not panic passes its reply through untouched.
-        let reply = isolate(&mut sessions, 2, &stats, |sessions| {
-            handle_request(sessions, Frame::Drive { session: 2, rounds: 4 }, &stats)
-        });
+        let reply = request(&mut sessions, Frame::Drive { session: 2, rounds: 4 }, &stats);
         assert!(matches!(reply, Frame::Status { session: 2, round: 4, .. }), "{reply:?}");
         assert_eq!(stats.snapshot().panics, 1);
+    }
+
+    #[test]
+    fn open_replies_the_status_of_the_built_session() {
+        let stats = Stats::default();
+        let mut sessions = Residents::new();
+        for scenario in SCENARIOS {
+            for seed in 0..1_000u64 {
+                let built = Session::build(scenario, seed).expect("known scenario");
+                let expected = Frame::Status {
+                    session: seed,
+                    round: built.round(),
+                    halted: built.halted(),
+                    heard: built.heard(),
+                };
+                assert_eq!(request(&mut sessions, open(seed, scenario, seed), &stats), expected);
+                sessions.clear();
+            }
+        }
+        assert_eq!(stats.snapshot().errors, 0);
+    }
+
+    #[test]
+    fn open_builds_no_session_and_keeps_a_small_table_value() {
+        let stats = Stats::default();
+        let mut sessions = Residents::new();
+        for id in 0..10_000u64 {
+            let scenario = SCENARIOS[id as usize % SCENARIOS.len()];
+            request(&mut sessions, open(id, scenario, id), &stats);
+        }
+        assert_eq!(sessions.len(), 10_000);
+        assert!(
+            sessions.values().all(|r| matches!(r, Resident::Unbuilt(_))),
+            "an Open must not build its session"
+        );
+        let value = std::mem::size_of::<Resident>();
+        assert!(value <= 32, "a resident is {value} B; a table value must not hold a Session");
     }
 }

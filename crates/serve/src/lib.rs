@@ -12,8 +12,9 @@
 //!
 //! - [`wire`] — length-prefixed frames with `goc_core::snap`-disciplined
 //!   total decode (magic + version handshake, `MAX_FRAME` allocation gate).
-//! - [`session`] — the scenario constructors and driving discipline shared
-//!   by the CLI, the daemon shards, and the load generator.
+//! - [`session`] — the scenario constructors, the unbuilt `(scenario, seed)`
+//!   form a daemon keeps until a session first runs, and the driving
+//!   discipline shared by the CLI, the daemon shards, and the load generator.
 //! - [`daemon`] — the shard-per-core host: reader threads dispatch to
 //!   shard-owned session tables over real TCP/Unix sockets.
 //! - [`chaos`] — `goc_core::channel` fault stacks mounted as middleware on

@@ -2,6 +2,11 @@
 //! discipline shared by the CLI (`goc snapshot` / `goc resume`), the
 //! daemon shards, and the in-process arm of `goc-load`.
 //!
+//! A session that has run no rounds is fully described by its
+//! `(scenario, seed)`: [`Session::build`] is deterministic. [`Unbuilt`] is
+//! that description, and this module decides what a fresh session is and
+//! what it reports, so a daemon can hold one without building it.
+//!
 //! Restoring a snapshot requires the *same constructors and seed* as the
 //! saved run (see [`goc_core::snap`]), so scenarios here are deliberately
 //! deterministic functions of `(name, seed)` — and this module is the one
@@ -15,6 +20,34 @@ use goc_core::toy;
 
 /// Snapshot-capable scenario names, in the order `goc list` shows them.
 pub const SCENARIOS: [&str; 2] = ["magic", "magic-compact"];
+
+/// The `(round, halted, heard)` status of a session that has run no rounds:
+/// round 0, not halted, nothing heard. What `Open` replies for an
+/// [`Unbuilt`] session.
+pub const FRESH_STATUS: (u64, bool, u64) = (0, false, 0);
+
+/// A session that has run no rounds, held as the `(scenario, seed)` it is
+/// built from: 24 bytes where a built [`Session`] is an [`Execution`] and
+/// its heap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Unbuilt {
+    scenario: &'static str,
+    seed: u64,
+}
+
+impl Unbuilt {
+    /// The fresh session for `(scenario, seed)`; `None` for names not in
+    /// [`SCENARIOS`].
+    pub fn new(scenario: &str, seed: u64) -> Option<Unbuilt> {
+        let scenario = SCENARIOS.into_iter().find(|&name| name == scenario)?;
+        Some(Unbuilt { scenario, seed })
+    }
+
+    /// Builds the session this stands for.
+    pub fn build(self) -> Session {
+        Session::build(self.scenario, self.seed).expect("every name in SCENARIOS builds")
+    }
+}
 
 /// One live session: an [`Execution`] over the toy magic-word world plus
 /// the halt discipline its goal flavour implies.

@@ -147,34 +147,75 @@ fn snapshot_migrates_across_daemons() {
 }
 
 /// `Open` or `Restore` on an id that is already resident is refused with an
-/// `Error` and leaves the live session untouched: it still settles exactly
-/// like an undisturbed run.
+/// `Error` and leaves the resident untouched, whether it has been driven or
+/// only opened: each still settles exactly like an undisturbed run.
 #[test]
 fn open_and_restore_refuse_a_live_session_id() {
     let handle = tcp_daemon();
     let mut client = Client::connect(handle.addr()).expect("connect");
     let seed = session_seed(19, 7);
+    let fresh_seed = session_seed(19, 8);
     client.open(7, "magic-compact", seed).expect("open");
     client.drive(7, 64).expect("drive");
     let snap = client.snap(7).expect("snap");
-    let clobbers = [
-        Frame::Open { session: 7, scenario: "magic".to_string(), seed: 1 },
-        Frame::Restore { session: 7, scenario: "magic-compact".to_string(), seed, snap },
-    ];
-    for frame in &clobbers {
-        match client.request(frame).expect("reply") {
-            Frame::Error { session: 7, message } => {
-                assert!(message.contains("already open"), "unexpected message {message:?}")
+    client.open(8, "magic", fresh_seed).expect("open, never driven");
+    for id in [7, 8] {
+        let clobbers = [
+            Frame::Open { session: id, scenario: "magic".to_string(), seed: 1 },
+            Frame::Restore {
+                session: id,
+                scenario: "magic-compact".to_string(),
+                seed,
+                snap: snap.clone(),
+            },
+        ];
+        for frame in &clobbers {
+            match client.request(frame).expect("reply") {
+                Frame::Error { session, message } if session == id => {
+                    assert!(message.contains("already open"), "unexpected message {message:?}")
+                }
+                other => panic!("resident id {id} must be refused, got {other:?}"),
             }
-            other => panic!("a live id must be refused, got {other:?}"),
         }
     }
     let status = client.drive(7, 192).expect("drive on");
     assert_eq!(status, settle_in_process("magic-compact", seed, 256));
+    let status = client.drive(8, 256).expect("drive the never-driven id");
+    assert_eq!(status, settle_in_process("magic", fresh_seed, 256));
     client.shutdown().expect("shutdown");
     let stats = handle.wait();
-    assert_eq!(stats.opened, 1);
-    assert_eq!(stats.errors, 2);
+    assert_eq!(stats.opened, 2);
+    assert_eq!(stats.errors, 4);
+}
+
+/// A session that was opened and never driven answers `Snap` with exactly
+/// the bytes of a freshly built session, settles to its in-process outcome
+/// when driven after that `Snap`, and closes like any other.
+#[test]
+fn a_never_driven_session_snaps_drives_and_closes_like_a_built_one() {
+    let handle = tcp_daemon();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for (id, scenario) in [(1u64, "magic"), (2, "magic-compact")] {
+        let seed = session_seed(29, id);
+        let fresh = Session::build(scenario, seed).expect("known scenario");
+        assert_eq!(client.open(id, scenario, seed).expect("open"), (0, false, 0));
+        let snap = client.snap(id).expect("snap of a never-driven session");
+        assert_eq!(snap, fresh.save_to_vec().expect("save"), "{scenario}");
+        let status = client.drive(id, 256).expect("drive after the snap");
+        assert_eq!(status, settle_in_process(scenario, seed, 256), "{scenario}");
+        client.close(id).expect("close a driven session");
+
+        // Close of an id that was only opened.
+        client.open(id + 10, scenario, seed).expect("open");
+        client.close(id + 10).expect("close a never-driven session");
+        match client.request(&Frame::Drive { session: id + 10, rounds: 1 }).expect("reply") {
+            Frame::Error { .. } => {}
+            other => panic!("a closed id must be gone, got {other:?}"),
+        }
+    }
+    client.shutdown().expect("shutdown");
+    let stats = handle.wait();
+    assert_eq!((stats.opened, stats.closed, stats.errors), (4, 4, 2));
 }
 
 /// Hostile bytes on a live connection: garbage frames earn `Error` replies

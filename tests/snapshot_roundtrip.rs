@@ -270,9 +270,11 @@ fn restored_rng_streams_come_from_the_snapshot() {
 
 /// A snapshot holds the current state only, so its size does not grow with
 /// the rounds run. A fresh session saves smaller (nothing in flight, no
-/// candidate built yet), and the compact user's own state fills up over its
-/// first few thousand rounds; from round 4096 on, the finite and compact
-/// sessions save to the same number of bytes at every checkpoint.
+/// candidate built yet), and the compact user's switch log,
+/// `CompactUniversalUser::switches`, adds one record per switch until the
+/// user settles: seed 5 has switched 0/15/63/119 times at rounds
+/// 0/256/1,024/4,096. From round 4096 on, the finite and compact sessions
+/// save to the same number of bytes at every checkpoint.
 #[test]
 fn snapshot_size_is_constant_in_the_round_count() {
     use goc::serve::Session;
